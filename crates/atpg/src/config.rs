@@ -4,8 +4,7 @@
 //! with [`AtpgOptions::builder`], tweak an existing value with
 //! [`AtpgOptions::to_builder`]. The struct is `#[non_exhaustive]` so new
 //! knobs can be added without breaking downstream construction sites; the
-//! fields stay public for reading. `AtpgConfig` remains as an alias for the
-//! pre-session name.
+//! fields stay public for reading.
 
 use sla_core::WorkBudget;
 
@@ -34,6 +33,11 @@ impl LearningMode {
 
 /// Tuning knobs of the sequential test generator.
 ///
+/// The time-frame window always grows geometrically (1, 2, 4, …,
+/// `max_window`): smaller windows are much cheaper and detect most faults.
+/// Decisions per fault are capped by a fixed safety net against degenerate
+/// search trees on large circuits.
+///
 /// Non-exhaustive: build one with [`AtpgOptions::builder`] (or start from an
 /// existing value with [`AtpgOptions::to_builder`]); the fields are public
 /// for reading only.
@@ -55,15 +59,8 @@ pub struct AtpgOptions {
     pub backtrack_limit: usize,
     /// Maximum number of time frames the iterative array may span.
     pub max_window: usize,
-    /// Hard bound on decisions per fault, a safety net against degenerate
-    /// search trees on large circuits.
-    pub max_decisions: usize,
     /// How learned relations are used.
     pub learning: LearningMode,
-    /// Grow the time-frame window geometrically (1, 2, 4, …, `max_window`)
-    /// instead of starting at the maximum. Smaller windows are much cheaper
-    /// and detect most faults.
-    pub grow_window: bool,
     /// Fault-simulate each generated test against the remaining fault list and
     /// drop everything it detects.
     pub fault_dropping: bool,
@@ -75,17 +72,12 @@ pub struct AtpgOptions {
     pub budget: WorkBudget,
 }
 
-/// Pre-session name of [`AtpgOptions`], kept so existing code keeps reading.
-pub type AtpgConfig = AtpgOptions;
-
 impl Default for AtpgOptions {
     fn default() -> Self {
         AtpgOptions {
             backtrack_limit: 30,
             max_window: 8,
-            max_decisions: 20_000,
             learning: LearningMode::None,
-            grow_window: true,
             fault_dropping: true,
             budget: WorkBudget::unlimited(),
         }
@@ -103,30 +95,6 @@ impl AtpgOptions {
     /// Starts a builder from this value, for tweaking a knob or two.
     pub fn to_builder(self) -> AtpgOptionsBuilder {
         AtpgOptionsBuilder { opts: self }
-    }
-
-    /// Configuration with a given backtrack limit (other fields default).
-    #[deprecated(note = "use AtpgOptions::builder().backtrack_limit(limit).build()")]
-    pub fn with_backtrack_limit(limit: usize) -> Self {
-        Self::builder().backtrack_limit(limit).build()
-    }
-
-    /// Returns a copy using the given learning mode.
-    #[deprecated(note = "use to_builder().learning(mode).build()")]
-    pub fn learning(self, mode: LearningMode) -> Self {
-        self.to_builder().learning(mode).build()
-    }
-
-    /// Returns a copy using the given time-frame window bound.
-    #[deprecated(note = "use to_builder().window(frames).build()")]
-    pub fn window(self, frames: usize) -> Self {
-        self.to_builder().window(frames).build()
-    }
-
-    /// Returns a copy using the given work budget.
-    #[deprecated(note = "use to_builder().budget(budget).build()")]
-    pub fn budget(self, budget: WorkBudget) -> Self {
-        self.to_builder().budget(budget).build()
     }
 }
 
@@ -149,21 +117,9 @@ impl AtpgOptionsBuilder {
         self
     }
 
-    /// Hard bound on decisions per fault.
-    pub fn max_decisions(mut self, decisions: usize) -> Self {
-        self.opts.max_decisions = decisions;
-        self
-    }
-
     /// How learned relations are used.
     pub fn learning(mut self, mode: LearningMode) -> Self {
         self.opts.learning = mode;
-        self
-    }
-
-    /// Whether the time-frame window grows geometrically.
-    pub fn grow_window(mut self, grow: bool) -> Self {
-        self.opts.grow_window = grow;
         self
     }
 
@@ -195,7 +151,6 @@ mod tests {
         assert_eq!(c.backtrack_limit, 30);
         assert_eq!(c.learning, LearningMode::None);
         assert!(c.fault_dropping);
-        assert!(c.grow_window);
         assert!(c.budget.is_unlimited());
     }
 
@@ -205,8 +160,6 @@ mod tests {
             .backtrack_limit(1000)
             .learning(LearningMode::ForbiddenValue)
             .window(0)
-            .max_decisions(77)
-            .grow_window(false)
             .fault_dropping(false)
             .budget(WorkBudget::units(100))
             .build();
@@ -214,8 +167,6 @@ mod tests {
         assert_eq!(c.budget, WorkBudget::units(100));
         assert_eq!(c.learning, LearningMode::ForbiddenValue);
         assert_eq!(c.max_window, 1, "window clamps to at least one frame");
-        assert_eq!(c.max_decisions, 77);
-        assert!(!c.grow_window);
         assert!(!c.fault_dropping);
         assert!(LearningMode::ForbiddenValue.uses_learning());
         assert!(!LearningMode::None.uses_learning());
@@ -228,21 +179,5 @@ mod tests {
         let tweaked = base.to_builder().window(2).build();
         assert_eq!(tweaked.backtrack_limit, 5);
         assert_eq!(tweaked.max_window, 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_the_builder() {
-        let old = AtpgConfig::with_backtrack_limit(1000)
-            .learning(LearningMode::KnownValue)
-            .window(3)
-            .budget(WorkBudget::units(9));
-        let new = AtpgOptions::builder()
-            .backtrack_limit(1000)
-            .learning(LearningMode::KnownValue)
-            .window(3)
-            .budget(WorkBudget::units(9))
-            .build();
-        assert_eq!(old, new);
     }
 }

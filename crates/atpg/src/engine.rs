@@ -8,7 +8,7 @@
 //! The explicit [`RunProgress`] state between the steps is what the
 //! resilience layer builds on:
 //!
-//! * **Deterministic budgets** — [`AtpgConfig::budget`] bounds the run in
+//! * **Deterministic budgets** — [`AtpgOptions::budget`] bounds the run in
 //!   work units (one per decision, one per backtrack), charged at the serial
 //!   merge boundary. The stopping point is a pure function of the merged
 //!   fault prefix, so a budget-limited run reports the *same* classified
@@ -23,7 +23,7 @@
 //!   (classified [`AbortReason::Panic`], message recorded in
 //!   [`AtpgRun::panics`] in strict fault order) and the run carries on.
 
-use crate::config::AtpgConfig;
+use crate::config::AtpgOptions;
 use crate::learned::LearnedData;
 use crate::tgen::{GenOutcome, GenResult, TestGenerator};
 use crate::Result;
@@ -83,7 +83,7 @@ pub struct AtpgStats {
     /// path). A perf diagnostic: it varies with the thread count and wave
     /// partition, never with the verdicts.
     pub wasted_speculations: usize,
-    /// Work units charged against [`AtpgConfig::budget`] (decisions +
+    /// Work units charged against [`AtpgOptions::budget`] (decisions +
     /// backtracks of merged searches). Deterministic across thread counts.
     pub budget_spent: u64,
     /// Wall-clock time of the run.
@@ -254,7 +254,7 @@ impl RunProgress {
 #[derive(Debug)]
 pub struct AtpgEngine<'a> {
     netlist: &'a Netlist,
-    config: AtpgConfig,
+    config: AtpgOptions,
     learned: LearnedData,
     levels: Levelization,
     /// Fault-injection hook: the search for this fault index panics instead
@@ -268,7 +268,7 @@ impl<'a> AtpgEngine<'a> {
     /// # Errors
     ///
     /// Returns an error when the netlist cannot be levelized.
-    pub fn new(netlist: &'a Netlist, config: AtpgConfig) -> Result<Self> {
+    pub fn new(netlist: &'a Netlist, config: AtpgOptions) -> Result<Self> {
         Ok(AtpgEngine {
             netlist,
             config,
@@ -298,7 +298,7 @@ impl<'a> AtpgEngine<'a> {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &AtpgConfig {
+    pub fn config(&self) -> &AtpgOptions {
         &self.config
     }
 
@@ -756,7 +756,7 @@ impl FaultCones {
 mod tests {
     use super::*;
     use crate::config::LearningMode;
-    use sla_core::{LearnConfig, SequentialLearner, WorkBudget};
+    use sla_core::{LearnOptions, SequentialLearner, WorkBudget};
     use sla_netlist::{GateType, NetlistBuilder};
     use sla_sim::{collapsed_fault_list, full_fault_list};
 
@@ -778,7 +778,7 @@ mod tests {
     #[test]
     fn run_classifies_every_fault_and_validates_tests() {
         let n = sample();
-        let engine = AtpgEngine::new(&n, AtpgConfig::default()).unwrap();
+        let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let faults = collapsed_fault_list(&n);
         let run = engine.run(&faults);
         assert_eq!(run.status.len(), faults.len());
@@ -801,7 +801,7 @@ mod tests {
     fn learned_ties_classify_untestable_faults_without_search() {
         let n = sample();
         let learned = LearnedData::from(
-            &SequentialLearner::new(&n, LearnConfig::default())
+            &SequentialLearner::new(&n, LearnOptions::default())
                 .learn()
                 .unwrap(),
         );
@@ -810,7 +810,7 @@ mod tests {
             "learning must find the tied gate"
         );
         let faults = full_fault_list(&n);
-        let engine = AtpgEngine::new(&n, AtpgConfig::default())
+        let engine = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .with_learned(learned);
         let run = engine.run(&faults);
@@ -828,16 +828,16 @@ mod tests {
     fn learning_modes_do_not_lose_detections() {
         let n = sample();
         let learned = LearnedData::from(
-            &SequentialLearner::new(&n, LearnConfig::default())
+            &SequentialLearner::new(&n, LearnOptions::default())
                 .learn()
                 .unwrap(),
         );
         let faults = collapsed_fault_list(&n);
-        let baseline = AtpgEngine::new(&n, AtpgConfig::default())
+        let baseline = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .run(&faults);
         for mode in [LearningMode::ForbiddenValue, LearningMode::KnownValue] {
-            let run = AtpgEngine::new(&n, AtpgConfig::builder().learning(mode).build())
+            let run = AtpgEngine::new(&n, AtpgOptions::builder().learning(mode).build())
                 .unwrap()
                 .with_learned(learned.clone())
                 .run(&faults);
@@ -857,10 +857,10 @@ mod tests {
     fn fault_dropping_reduces_generated_sequences() {
         let n = sample();
         let faults = collapsed_fault_list(&n);
-        let with_drop = AtpgEngine::new(&n, AtpgConfig::default())
+        let with_drop = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .run(&faults);
-        let cfg = AtpgConfig::builder().fault_dropping(false).build();
+        let cfg = AtpgOptions::builder().fault_dropping(false).build();
         let without_drop = AtpgEngine::new(&n, cfg).unwrap().run(&faults);
         assert!(with_drop.stats.sequences <= without_drop.stats.sequences);
         // Fault simulation of generated sequences can detect faults the
@@ -876,13 +876,13 @@ mod tests {
     fn sharded_run_matches_serial_run() {
         let n = sample();
         let learned = LearnedData::from(
-            &SequentialLearner::new(&n, LearnConfig::default())
+            &SequentialLearner::new(&n, LearnOptions::default())
                 .learn()
                 .unwrap(),
         );
         let faults = full_fault_list(&n);
         for dropping in [true, false] {
-            let config = AtpgConfig::builder()
+            let config = AtpgOptions::builder()
                 .fault_dropping(dropping)
                 .learning(LearningMode::ForbiddenValue)
                 .build();
@@ -929,7 +929,7 @@ mod tests {
     fn cone_disjoint_waves_bound_speculation_waste() {
         let n = sample();
         let faults = full_fault_list(&n);
-        let engine = AtpgEngine::new(&n, AtpgConfig::default()).unwrap();
+        let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let serial = engine.run_with_threads(&faults, 1);
         assert_eq!(serial.stats.wasted_speculations, 0, "serial never wastes");
         for threads in [2, 4] {
@@ -947,7 +947,7 @@ mod tests {
     fn stats_cover_the_whole_fault_list() {
         let n = sample();
         let faults = full_fault_list(&n);
-        let run = AtpgEngine::new(&n, AtpgConfig::builder().backtrack_limit(100).build())
+        let run = AtpgEngine::new(&n, AtpgOptions::builder().backtrack_limit(100).build())
             .unwrap()
             .run(&faults);
         assert_eq!(run.stats.total_faults, faults.len());
@@ -962,7 +962,7 @@ mod tests {
     fn budget_limits_the_run_deterministically() {
         let n = sample();
         let faults = full_fault_list(&n);
-        let unlimited = AtpgEngine::new(&n, AtpgConfig::default())
+        let unlimited = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .run_with_threads(&faults, 1);
         assert!(unlimited.stats.budget_spent > 0);
@@ -970,7 +970,7 @@ mod tests {
             .status
             .contains(&FaultStatus::Aborted(AbortReason::Budget)));
 
-        let config = AtpgConfig::builder()
+        let config = AtpgOptions::builder()
             .budget(WorkBudget::units(unlimited.stats.budget_spent / 2))
             .build();
         let engine = AtpgEngine::new(&n, config).unwrap();
@@ -1003,7 +1003,7 @@ mod tests {
         // A zero budget searches nothing: every non-tied fault is Budget.
         let zero = AtpgEngine::new(
             &n,
-            AtpgConfig::builder().budget(WorkBudget::units(0)).build(),
+            AtpgOptions::builder().budget(WorkBudget::units(0)).build(),
         )
         .unwrap()
         .run_with_threads(&faults, 1);
@@ -1021,7 +1021,7 @@ mod tests {
         let n = sample();
         let faults = full_fault_list(&n);
         // Fault 0 is always searched (no ties, nothing earlier to drop it).
-        let engine = AtpgEngine::new(&n, AtpgConfig::default())
+        let engine = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .with_panic_at(0);
         let hook = std::panic::take_hook();
@@ -1057,7 +1057,7 @@ mod tests {
     fn sliced_advance_matches_one_shot_run() {
         let n = sample();
         let faults = full_fault_list(&n);
-        let engine = AtpgEngine::new(&n, AtpgConfig::default()).unwrap();
+        let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let one_shot = {
             let mut run = engine.run_with_threads(&faults, 1);
             run.stats.cpu = Duration::ZERO;

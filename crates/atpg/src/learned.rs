@@ -781,7 +781,7 @@ impl<'a> IncrementalLayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sla_core::{Implication, LearnConfig, Literal, SequentialLearner};
+    use sla_core::{Implication, LearnOptions, Literal, SequentialLearner};
     use sla_netlist::{GateType, Netlist, NetlistBuilder};
 
     fn exclusive_pair() -> Netlist {
@@ -800,7 +800,7 @@ mod tests {
     }
 
     fn learned_for(n: &Netlist) -> LearnedData {
-        let result = SequentialLearner::new(n, LearnConfig::default())
+        let result = SequentialLearner::new(n, LearnOptions::default())
             .learn()
             .unwrap();
         LearnedData::from(&result)
@@ -847,10 +847,15 @@ mod tests {
         assert_eq!(adj.num_edges(), 2 * learned.implications().len());
         for (id, _) in n.iter() {
             for value in [false, true] {
+                // Reference: the direct consequents of the literal, read off
+                // every stored relation and its contrapositive.
+                let lit = Literal::new(id, value);
                 let mut from_db: Vec<u32> = learned
                     .implications()
-                    .consequents(Literal::new(id, value))
-                    .map(|l| code(l.node, l.value))
+                    .relations()
+                    .flat_map(|imp| [imp, imp.contrapositive()])
+                    .filter(|imp| imp.antecedent == lit)
+                    .map(|imp| code(imp.consequent.node, imp.consequent.value))
                     .collect();
                 from_db.sort_unstable();
                 assert_eq!(adj.consequents(code(id, value)), from_db.as_slice());

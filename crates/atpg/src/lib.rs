@@ -27,7 +27,7 @@
 //! ```
 //! use sla_netlist::{GateType, NetlistBuilder};
 //! use sla_sim::collapsed_fault_list;
-//! use sla_atpg::{AtpgConfig, AtpgEngine};
+//! use sla_atpg::{AtpgEngine, AtpgOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = NetlistBuilder::new("demo");
@@ -37,7 +37,7 @@
 //! b.output("q")?;
 //! let netlist = b.build()?;
 //!
-//! let engine = AtpgEngine::new(&netlist, AtpgConfig::default())?;
+//! let engine = AtpgEngine::new(&netlist, AtpgOptions::default())?;
 //! let faults = collapsed_fault_list(&netlist);
 //! let run = engine.run(&faults);
 //! assert!(run.stats.detected > 0);
@@ -51,7 +51,7 @@ pub mod learned;
 pub mod machines;
 pub mod tgen;
 
-pub use config::{AtpgConfig, AtpgOptions, AtpgOptionsBuilder, LearningMode};
+pub use config::{AtpgOptions, AtpgOptionsBuilder, LearningMode};
 pub use engine::{AbortReason, AtpgEngine, AtpgRun, AtpgStats, FaultStatus, RunProgress};
 pub use learned::{ImplicationLayer, IncrementalLayer, LearnedData, LiteralAdjacency};
 pub use machines::{MachineMark, SearchMachines};

@@ -12,13 +12,17 @@
 //! the incrementally maintained [`IncrementalLayer`]: conflicts trigger
 //! immediate backtracks and hints bias the backtrace (paper §4).
 
-use crate::config::{AtpgConfig, LearningMode};
+use crate::config::{AtpgOptions, LearningMode};
 use crate::learned::{IncrementalLayer, LearnedData, LiteralAdjacency};
 use crate::machines::{MachineMark, SearchMachines};
 use crate::Result;
 use sla_netlist::levelize::{levelize, Levelization};
 use sla_netlist::{FastHashMap, GateType, Netlist, NodeId, NodeKind};
 use sla_sim::{eval_gate3, EventSim, Fault, FaultSite, Logic3, TestSequence};
+
+/// Hard bound on the decisions of one window search, a safety net against
+/// degenerate search trees on large circuits.
+const MAX_DECISIONS: usize = 20_000;
 
 /// Outcome of test generation for one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +69,7 @@ struct Decision {
 pub struct TestGenerator<'a> {
     netlist: &'a Netlist,
     levels: Levelization,
-    config: AtpgConfig,
+    config: AtpgOptions,
     /// CSR adjacency over the learned implications, built once per generator.
     adjacency: LiteralAdjacency,
 }
@@ -77,7 +81,7 @@ impl<'a> TestGenerator<'a> {
     /// # Errors
     ///
     /// Returns an error when the combinational logic cannot be levelized.
-    pub fn new(netlist: &'a Netlist, config: AtpgConfig, learned: &LearnedData) -> Result<Self> {
+    pub fn new(netlist: &'a Netlist, config: AtpgOptions, learned: &LearnedData) -> Result<Self> {
         Ok(Self::with_levels(
             netlist,
             levelize(netlist)?,
@@ -93,7 +97,7 @@ impl<'a> TestGenerator<'a> {
     pub fn with_levels(
         netlist: &'a Netlist,
         levels: Levelization,
-        config: AtpgConfig,
+        config: AtpgOptions,
         learned: &LearnedData,
     ) -> Self {
         let adjacency = if config.learning.uses_learning() {
@@ -119,11 +123,9 @@ impl<'a> TestGenerator<'a> {
         let mut total_backtracks = 0usize;
         let mut total_decisions = 0usize;
 
-        let mut window = if self.config.grow_window {
-            1
-        } else {
-            self.config.max_window
-        };
+        // The window grows geometrically (1, 2, 4, …, `max_window`): small
+        // windows are cheap and detect most faults.
+        let mut window = 1;
         // The pair of three-valued machines, maintained event-driven (see
         // `search_window`), lives across window growth: when a window is
         // exhausted, the machines are rewound to their base state and widened
@@ -131,12 +133,8 @@ impl<'a> TestGenerator<'a> {
         // unchanged by widening, so only the appended frames are evaluated.
         let mut machines = SearchMachines::new(self.netlist, &self.levels, window, *fault);
         loop {
-            let (outcome, used_bt, used_dec) = self.search_window(
-                &mut machines,
-                fault,
-                backtracks_left,
-                self.config.max_decisions,
-            );
+            let (outcome, used_bt, used_dec) =
+                self.search_window(&mut machines, fault, backtracks_left);
             total_backtracks += used_bt;
             total_decisions += used_dec;
             backtracks_left = backtracks_left.saturating_sub(used_bt);
@@ -176,7 +174,6 @@ impl<'a> TestGenerator<'a> {
         machines: &mut SearchMachines<'_>,
         fault: &Fault,
         backtrack_budget: usize,
-        decision_budget: usize,
     ) -> (WindowOutcome, usize, usize) {
         let window = machines.window();
         let mut decisions: Vec<Decision> = Vec::new();
@@ -216,7 +213,7 @@ impl<'a> TestGenerator<'a> {
             match next {
                 Some((frame, pi, value)) => {
                     decision_count += 1;
-                    if decision_count > decision_budget {
+                    if decision_count > MAX_DECISIONS {
                         return (WindowOutcome::Aborted, backtracks, decision_count);
                     }
                     let mark = machines.mark();
@@ -580,7 +577,7 @@ mod tests {
     use sla_netlist::NetlistBuilder;
     use sla_sim::FaultSimulator;
 
-    fn generator(n: &Netlist, config: AtpgConfig) -> TestGenerator<'_> {
+    fn generator(n: &Netlist, config: AtpgOptions) -> TestGenerator<'_> {
         TestGenerator::new(n, config, &LearnedData::new()).unwrap()
     }
 
@@ -609,7 +606,7 @@ mod tests {
     #[test]
     fn detects_simple_combinational_fault() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
         let result = gen.generate(&Fault::output(z, false));
         let GenOutcome::Detected(seq) = result.outcome else {
@@ -623,7 +620,7 @@ mod tests {
     #[test]
     fn propagates_through_flip_flops_by_growing_the_window() {
         let n = pipelined();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let g = n.require("g").unwrap();
         let fault = Fault::output(g, true);
         let result = gen.generate(&fault);
@@ -646,7 +643,7 @@ mod tests {
         let n = b.build().unwrap();
         // Proving redundancy requires exhausting the search space, which needs
         // the larger backtrack budget (the paper's second experiment stage).
-        let gen = generator(&n, AtpgConfig::builder().backtrack_limit(1000).build());
+        let gen = generator(&n, AtpgOptions::builder().backtrack_limit(1000).build());
         let z = n.require("z").unwrap();
         let result = gen.generate(&Fault::output(z, true));
         assert_eq!(result.outcome, GenOutcome::Untestable);
@@ -655,10 +652,7 @@ mod tests {
     #[test]
     fn zero_backtrack_budget_aborts_hard_faults() {
         let n = pipelined();
-        let config = AtpgConfig::builder()
-            .backtrack_limit(0)
-            .max_decisions(3)
-            .build();
+        let config = AtpgOptions::builder().backtrack_limit(0).build();
         let gen = generator(&n, config);
         let g = n.require("g").unwrap();
         // With essentially no budget the generator must not claim untestable
@@ -670,7 +664,7 @@ mod tests {
     #[test]
     fn input_pin_faults_are_handled() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgConfig::default());
+        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
         let fault = Fault::input(z, 0, true);
         let result = gen.generate(&fault);

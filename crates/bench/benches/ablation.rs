@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sla_circuits::{build_profile, profile_by_name};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 
 fn frame_limit_sweep(c: &mut Criterion) {
     let netlist = build_profile(profile_by_name("s953").expect("profile"), 0.25);
@@ -18,7 +18,7 @@ fn frame_limit_sweep(c: &mut Criterion) {
                 b.iter(|| {
                     SequentialLearner::new(
                         &netlist,
-                        LearnConfig::builder().max_frames(frames).build(),
+                        LearnOptions::builder().max_frames(frames).build(),
                     )
                     .learn()
                     .expect("learning succeeds")
@@ -35,14 +35,14 @@ fn equivalence_ablation(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("with_equivalence", |b| {
         b.iter(|| {
-            SequentialLearner::new(&netlist, LearnConfig::default())
+            SequentialLearner::new(&netlist, LearnOptions::default())
                 .learn()
                 .expect("learning succeeds")
         })
     });
     group.bench_function("without_equivalence", |b| {
         b.iter(|| {
-            SequentialLearner::new(&netlist, LearnConfig::without_equivalence())
+            SequentialLearner::new(&netlist, LearnOptions::without_equivalence())
                 .learn()
                 .expect("learning succeeds")
         })

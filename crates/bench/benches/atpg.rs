@@ -2,9 +2,9 @@
 //! retimed-style (low density of encoding) circuit — the Table 5 comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sla_atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode, SearchMachines};
+use sla_atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode, SearchMachines};
 use sla_circuits::{retimed_circuit, table5_circuit, RetimedConfig, Table5Config};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::levelize::levelize;
 use sla_sim::{collapsed_fault_list, FaultSimulator, Logic3, TestSequence};
 
@@ -19,7 +19,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
     let mut faults = collapsed_fault_list(&netlist);
     faults.truncate(60);
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .expect("learning succeeds"),
     );
@@ -28,7 +28,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("no_learning", |b| {
         b.iter(|| {
-            AtpgEngine::new(&netlist, AtpgConfig::builder().backtrack_limit(30).build())
+            AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
                 .expect("levelizes")
                 .run(&faults)
         })
@@ -37,7 +37,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
         b.iter(|| {
             AtpgEngine::new(
                 &netlist,
-                AtpgConfig::builder()
+                AtpgOptions::builder()
                     .backtrack_limit(30)
                     .learning(LearningMode::ForbiddenValue)
                     .build(),
@@ -51,7 +51,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
         b.iter(|| {
             AtpgEngine::new(
                 &netlist,
-                AtpgConfig::builder()
+                AtpgOptions::builder()
                     .backtrack_limit(30)
                     .learning(LearningMode::KnownValue)
                     .build(),
@@ -72,7 +72,7 @@ fn atpg_search_incremental(c: &mut Criterion) {
     let netlist = table5_circuit(&Table5Config::default());
     let faults = collapsed_fault_list(&netlist);
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .expect("learning succeeds"),
     );
@@ -83,7 +83,7 @@ fn atpg_search_incremental(c: &mut Criterion) {
         b.iter(|| {
             AtpgEngine::new(
                 &netlist,
-                AtpgConfig::builder()
+                AtpgOptions::builder()
                     .backtrack_limit(100)
                     .learning(LearningMode::ForbiddenValue)
                     .build(),
@@ -107,13 +107,13 @@ fn atpg_thread_scaling(c: &mut Criterion) {
     let netlist = table5_circuit(&Table5Config::default());
     let faults = collapsed_fault_list(&netlist);
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .expect("learning succeeds"),
     );
     let engine = AtpgEngine::new(
         &netlist,
-        AtpgConfig::builder()
+        AtpgOptions::builder()
             .backtrack_limit(100)
             .learning(LearningMode::ForbiddenValue)
             .build(),

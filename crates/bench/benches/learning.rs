@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sla_circuits::{build_profile, industrial_circuit, profile_by_name, IndustrialConfig};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 
 fn learning_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sequential_learning");
@@ -17,7 +17,7 @@ fn learning_scaling(c: &mut Criterion) {
             &netlist,
             |b, netlist| {
                 b.iter(|| {
-                    SequentialLearner::new(netlist, LearnConfig::default())
+                    SequentialLearner::new(netlist, LearnOptions::default())
                         .learn()
                         .expect("learning succeeds")
                 })
@@ -35,7 +35,7 @@ fn learning_industrial(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("industrial", |b| {
         b.iter(|| {
-            SequentialLearner::new(&netlist, LearnConfig::default())
+            SequentialLearner::new(&netlist, LearnOptions::default())
                 .learn()
                 .expect("learning succeeds")
         })
@@ -59,7 +59,7 @@ fn learning_thread_scaling(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    SequentialLearner::new(&netlist, LearnConfig::default())
+                    SequentialLearner::new(&netlist, LearnOptions::default())
                         .learn_with_threads(threads)
                         .expect("learning succeeds")
                 })
@@ -76,14 +76,14 @@ fn learning_single_vs_multi(c: &mut Criterion) {
     let netlist = build_profile(profile, 0.25);
     group.bench_function("single_node_only", |b| {
         b.iter(|| {
-            SequentialLearner::new(&netlist, LearnConfig::single_node_only())
+            SequentialLearner::new(&netlist, LearnOptions::single_node_only())
                 .learn()
                 .expect("learning succeeds")
         })
     });
     group.bench_function("with_multiple_node", |b| {
         b.iter(|| {
-            SequentialLearner::new(&netlist, LearnConfig::default())
+            SequentialLearner::new(&netlist, LearnOptions::default())
                 .learn()
                 .expect("learning succeeds")
         })

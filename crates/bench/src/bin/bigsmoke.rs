@@ -14,9 +14,9 @@
 //! process against each other, never against an absolute threshold, so slow
 //! CI hardware cannot fail it.
 
-use sla_atpg::{AtpgConfig, AtpgEngine, WorkBudget};
+use sla_atpg::{AtpgEngine, AtpgOptions, WorkBudget};
 use sla_circuits::{scale_circuit, ScaleConfig};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::levelize::levelize;
 use sla_netlist::parser::parse_bench;
 use sla_netlist::wallclock;
@@ -107,7 +107,7 @@ fn main() -> ExitCode {
     // the budget applies, and the frame window is shortened — the smoke
     // exercises the injection machinery on the arena, not learning quality.
     let t_learn = wallclock::now();
-    let learn_cfg = LearnConfig::builder()
+    let learn_cfg = LearnOptions::builder()
         .budget(WorkBudget::units(256))
         .gate_equivalence(false)
         .max_frames(8)
@@ -130,7 +130,7 @@ fn main() -> ExitCode {
     let t_atpg = wallclock::now();
     let mut faults = collapsed_fault_list(&netlist);
     faults.truncate(24);
-    let config = AtpgConfig::builder()
+    let config = AtpgOptions::builder()
         .backtrack_limit(8)
         .budget(WorkBudget::units(50_000))
         .build();

@@ -4,11 +4,11 @@
 //! circuit instead (the multiple-node-only relation).
 
 use sla_circuits::{paper_style_figure1, paper_style_figure2};
-use sla_core::{Implication, LearnConfig, SequentialLearner};
+use sla_core::{Implication, LearnOptions, SequentialLearner};
 use sla_netlist::Netlist;
 use std::collections::BTreeSet;
 
-fn relations(netlist: &Netlist, config: LearnConfig) -> BTreeSet<String> {
+fn relations(netlist: &Netlist, config: LearnOptions) -> BTreeSet<String> {
     let result = SequentialLearner::new(netlist, config)
         .learn()
         .expect("learning succeeds on the figure circuits");
@@ -31,9 +31,9 @@ fn main() {
         netlist.name()
     );
 
-    let single = relations(&netlist, LearnConfig::single_node_only());
-    let multi = relations(&netlist, LearnConfig::without_equivalence());
-    let full = relations(&netlist, LearnConfig::default());
+    let single = relations(&netlist, LearnOptions::single_node_only());
+    let multi = relations(&netlist, LearnOptions::without_equivalence());
+    let full = relations(&netlist, LearnOptions::default());
 
     println!("Single-node relations ({}):", single.len());
     for r in &single {
@@ -55,7 +55,7 @@ fn main() {
     }
 
     // Tied gates learned along the way (the paper's G3 / G15 walk-through).
-    let result = SequentialLearner::new(&netlist, LearnConfig::default())
+    let result = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .expect("learning succeeds");
     println!("\nTied gates ({}):", result.tied.len());

@@ -6,7 +6,7 @@
 
 use sla_bench::{print_header, print_row, seconds, HarnessOptions};
 use sla_circuits::{build_profile, TABLE3_PROFILES};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 
 fn main() {
     let opts = HarnessOptions::from_args(std::env::args().skip(1));
@@ -39,7 +39,7 @@ fn main() {
             );
             continue;
         }
-        let config = LearnConfig::builder()
+        let config = LearnOptions::builder()
             .max_multi_node_targets(if opts.full { 0 } else { 400 })
             .build();
         let result = SequentialLearner::new(&netlist, config)

@@ -5,7 +5,7 @@
 
 use sla_bench::{print_header, print_row, seconds, HarnessOptions};
 use sla_circuits::{build_profile, profile_by_name, TABLE4_PROFILES};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::Netlist;
 use sla_sim::{full_fault_list, FaultSite};
 
@@ -58,7 +58,7 @@ fn main() {
             );
             continue;
         }
-        let learn = SequentialLearner::new(&netlist, LearnConfig::default())
+        let learn = SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .expect("learning succeeds");
         let tie_count = tie_untestable_count(&netlist, &learn.tied_constants());

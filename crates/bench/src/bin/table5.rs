@@ -5,10 +5,10 @@
 //! Flags: `--scale <f>` (default 0.04), `--limits 30,1000`, `--max-faults <n>`,
 //! `--max-gates <n>`, `--full`.
 
-use sla_atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode};
+use sla_atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode};
 use sla_bench::{print_header, print_row, seconds, HarnessOptions};
 use sla_circuits::{build_profile, profile_by_name, TABLE5_PROFILES};
-use sla_core::{LearnConfig, SequentialLearner};
+use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::Netlist;
 use sla_sim::{collapsed_fault_list, Fault};
 
@@ -25,7 +25,7 @@ fn run_mode(
     mode: LearningMode,
     learned: &LearnedData,
 ) -> ModeResult {
-    let config = AtpgConfig::builder()
+    let config = AtpgOptions::builder()
         .backtrack_limit(limit)
         .learning(mode)
         .build();
@@ -73,7 +73,7 @@ fn main() {
         faults.truncate(opts.max_faults);
 
         let learned = LearnedData::from(
-            &SequentialLearner::new(&netlist, LearnConfig::default())
+            &SequentialLearner::new(&netlist, LearnOptions::default())
                 .learn()
                 .expect("learning succeeds"),
         );

@@ -4,8 +4,7 @@
 //! with [`LearnOptions::builder`] or one of the named presets, tweak an
 //! existing value with [`LearnOptions::to_builder`]. The struct is
 //! `#[non_exhaustive]` so new knobs can be added without breaking downstream
-//! construction sites; the fields stay public for reading. `LearnConfig`
-//! remains as an alias for the pre-session name.
+//! construction sites; the fields stay public for reading.
 
 use crate::budget::WorkBudget;
 use sla_sim::EquivConfig;
@@ -13,11 +12,14 @@ use sla_sim::EquivConfig;
 /// Tuning knobs of [`crate::SequentialLearner`].
 ///
 /// The defaults reproduce the configuration used in the paper's experiments:
-/// 50-frame simulation, single- and multiple-node learning, gate-equivalence
-/// assistance, per-clock-class analysis and the real-circuit propagation rules.
+/// 50-frame simulation, single- and multiple-node learning and
+/// gate-equivalence assistance. The paper's real-circuit handling is not
+/// configurable: learning always runs per clock class (§3.3.2) and always
+/// obeys the set/reset and multiple-port-latch propagation rules
+/// (§3.3.1 / §3.3.3).
 ///
 /// Non-exhaustive: build one with [`LearnOptions::builder`] or a preset like
-/// [`LearnOptions::paper`]; the fields are public for reading only.
+/// [`LearnOptions::single_node_only`]; the fields are public for reading only.
 ///
 /// ```
 /// use sla_core::LearnOptions;
@@ -35,19 +37,11 @@ pub struct LearnOptions {
     pub multiple_node: bool,
     /// Use combinational gate equivalences to push values further.
     pub gate_equivalence: bool,
-    /// Partition sequential elements into clock classes and learn per class
-    /// (paper §3.3.2). Disable only for single-clock experiments.
-    pub partition_by_clock_class: bool,
-    /// Apply the set/reset and multiple-port-latch propagation rules
-    /// (paper §3.3.1 / §3.3.3). Disabling them is unsound on real circuits and
-    /// exists only for ablation benches.
-    pub respect_seq_rules: bool,
     /// Also collect relations between nodes at different time frames. They are
-    /// reported separately and are not used by the ATPG integration.
+    /// reported separately; under a learning mode the ATPG compiles them into
+    /// its implication adjacency and prunes decisions in neighbouring frames
+    /// with them.
     pub learn_cross_frame: bool,
-    /// Compute a bounded transitive closure of the learned implications after
-    /// learning (0 disables).
-    pub closure_limit: usize,
     /// Configuration of the gate-equivalence detection pass.
     pub equiv_config: EquivConfig,
     /// Upper bound on the number of multiple-node learning targets (0 = no
@@ -64,19 +58,13 @@ pub struct LearnOptions {
     pub budget: WorkBudget,
 }
 
-/// Pre-session name of [`LearnOptions`], kept so existing code keeps reading.
-pub type LearnConfig = LearnOptions;
-
 impl Default for LearnOptions {
     fn default() -> Self {
         LearnOptions {
             max_frames: 50,
             multiple_node: true,
             gate_equivalence: true,
-            partition_by_clock_class: true,
-            respect_seq_rules: true,
             learn_cross_frame: false,
-            closure_limit: 0,
             equiv_config: EquivConfig::default(),
             max_multi_node_targets: 0,
             budget: WorkBudget::unlimited(),
@@ -97,11 +85,6 @@ impl LearnOptions {
         LearnOptionsBuilder { opts: self.clone() }
     }
 
-    /// The paper's reference configuration (identical to `default()`).
-    pub fn paper() -> Self {
-        LearnOptions::default()
-    }
-
     /// Single-node learning only (the first ablation of Table 2).
     pub fn single_node_only() -> Self {
         Self::builder()
@@ -114,24 +97,6 @@ impl LearnOptions {
     /// (the second ablation of Table 2).
     pub fn without_equivalence() -> Self {
         Self::builder().gate_equivalence(false).build()
-    }
-
-    /// Purely combinational learning: simulation confined to a single frame.
-    /// Used to isolate what only sequential analysis can extract.
-    pub fn combinational_only() -> Self {
-        Self::builder().max_frames(1).build()
-    }
-
-    /// Sets the frame limit, returning the modified configuration.
-    #[deprecated(note = "use to_builder().max_frames(frames).build()")]
-    pub fn with_max_frames(self, frames: usize) -> Self {
-        self.to_builder().max_frames(frames).build()
-    }
-
-    /// Sets the work budget, returning the modified configuration.
-    #[deprecated(note = "use to_builder().budget(budget).build()")]
-    pub fn with_budget(self, budget: WorkBudget) -> Self {
-        self.to_builder().budget(budget).build()
     }
 }
 
@@ -160,27 +125,9 @@ impl LearnOptionsBuilder {
         self
     }
 
-    /// Whether sequential elements are partitioned into clock classes.
-    pub fn partition_by_clock_class(mut self, enabled: bool) -> Self {
-        self.opts.partition_by_clock_class = enabled;
-        self
-    }
-
-    /// Whether the set/reset and multi-port-latch propagation rules apply.
-    pub fn respect_seq_rules(mut self, enabled: bool) -> Self {
-        self.opts.respect_seq_rules = enabled;
-        self
-    }
-
     /// Whether cross-frame relations are also collected.
     pub fn cross_frame(mut self, enabled: bool) -> Self {
         self.opts.learn_cross_frame = enabled;
-        self
-    }
-
-    /// Bounded transitive-closure limit (0 disables).
-    pub fn closure_limit(mut self, limit: usize) -> Self {
-        self.opts.closure_limit = limit;
         self
     }
 
@@ -218,10 +165,7 @@ mod tests {
         assert_eq!(c.max_frames, 50);
         assert!(c.multiple_node);
         assert!(c.gate_equivalence);
-        assert!(c.partition_by_clock_class);
-        assert!(c.respect_seq_rules);
         assert!(!c.learn_cross_frame);
-        assert_eq!(LearnOptions::paper(), c);
     }
 
     #[test]
@@ -230,7 +174,6 @@ mod tests {
         assert!(!LearnOptions::single_node_only().gate_equivalence);
         assert!(!LearnOptions::without_equivalence().gate_equivalence);
         assert!(LearnOptions::without_equivalence().multiple_node);
-        assert_eq!(LearnOptions::combinational_only().max_frames, 1);
         assert_eq!(LearnOptions::builder().max_frames(0).build().max_frames, 1);
         assert_eq!(LearnOptions::builder().max_frames(7).build().max_frames, 7);
     }
@@ -241,10 +184,7 @@ mod tests {
             .max_frames(9)
             .multiple_node(false)
             .gate_equivalence(false)
-            .partition_by_clock_class(false)
-            .respect_seq_rules(false)
             .cross_frame(true)
-            .closure_limit(3)
             .equiv_config(EquivConfig::default())
             .max_multi_node_targets(11)
             .budget(WorkBudget::units(5))
@@ -252,26 +192,9 @@ mod tests {
         assert_eq!(c.max_frames, 9);
         assert!(!c.multiple_node);
         assert!(!c.gate_equivalence);
-        assert!(!c.partition_by_clock_class);
-        assert!(!c.respect_seq_rules);
         assert!(c.learn_cross_frame);
-        assert_eq!(c.closure_limit, 3);
         assert_eq!(c.max_multi_node_targets, 11);
         assert_eq!(c.budget, WorkBudget::units(5));
         assert_eq!(c.to_builder().build(), c, "to_builder round-trips");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_the_builder() {
-        assert_eq!(
-            LearnConfig::default().with_max_frames(0).max_frames,
-            LearnOptions::builder().max_frames(0).build().max_frames
-        );
-        assert_eq!(
-            LearnConfig::default().with_budget(WorkBudget::units(5)),
-            LearnOptions::builder().budget(WorkBudget::units(5)).build()
-        );
-        assert!(LearnConfig::default().budget.is_unlimited());
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::relation::{Implication, Literal, RelationKind};
 use sla_netlist::{FastHashMap, Netlist, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
 
 /// Stores learned same-frame implications.
 ///
@@ -14,16 +14,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// "sequential" counts the paper reports in Table 3.
 #[derive(Debug, Clone, Default)]
 pub struct ImplicationDb {
-    /// antecedent -> set of consequents (directed edges, closed under
-    /// contrapositive). A `BTreeMap`, not a fast map: the transitive-closure
-    /// pass iterates it, and the determinism contract (fast-map-iteration
-    /// rule) requires every iterated map to have an input-defined order.
-    forward: BTreeMap<Literal, BTreeSet<Literal>>,
     /// Canonical relation list in insertion order, with the sequential flag.
     canonical: Vec<(Implication, bool)>,
     /// Position of each relation in `canonical`, keyed by the orientation-
     /// independent form (the smaller of relation and contrapositive), so
-    /// duplicate insertions and flag downgrades are O(1) instead of a scan.
+    /// lookups, duplicate insertions and flag downgrades are O(1) instead of
+    /// a scan.
     index: FastHashMap<Implication, usize>,
 }
 
@@ -53,45 +49,31 @@ impl ImplicationDb {
         if imp.antecedent.node == imp.consequent.node {
             return false;
         }
-        if let Some(&at) = self.index.get(&canonical_key(&imp)) {
-            if !sequential {
-                // Downgrade an existing sequential derivation to combinational.
-                self.canonical[at].1 = false;
+        match self.index.entry(canonical_key(&imp)) {
+            Entry::Occupied(at) => {
+                if !sequential {
+                    // Downgrade an existing sequential derivation to
+                    // combinational.
+                    self.canonical[*at.get()].1 = false;
+                }
+                false
             }
-            return false;
+            Entry::Vacant(slot) => {
+                slot.insert(self.canonical.len());
+                self.canonical.push((imp, sequential));
+                true
+            }
         }
-        self.forward
-            .entry(imp.antecedent)
-            .or_default()
-            .insert(imp.consequent);
-        let contra = imp.contrapositive();
-        self.forward
-            .entry(contra.antecedent)
-            .or_default()
-            .insert(contra.consequent);
-        self.index.insert(canonical_key(&imp), self.canonical.len());
-        self.canonical.push((imp, sequential));
-        true
     }
 
     /// Returns `true` if the relation (or its contrapositive) is stored.
     pub fn contains(&self, imp: &Implication) -> bool {
-        self.forward
-            .get(&imp.antecedent)
-            .is_some_and(|s| s.contains(&imp.consequent))
+        self.index.contains_key(&canonical_key(imp))
     }
 
     /// Returns `true` when `a = va` is known to imply `b = vb` directly.
     pub fn implies(&self, a: NodeId, va: bool, b: NodeId, vb: bool) -> bool {
         self.contains(&Implication::new(Literal::new(a, va), Literal::new(b, vb)))
-    }
-
-    /// Direct consequents of a literal (contrapositives included).
-    pub fn consequents(&self, lit: Literal) -> impl Iterator<Item = Literal> + '_ {
-        self.forward
-            .get(&lit)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
     }
 
     /// Number of stored canonical relations (a relation and its contrapositive
@@ -139,55 +121,6 @@ impl ImplicationDb {
             }
         }
         counts
-    }
-
-    /// Computes the transitive closure of the implication graph, bounded by
-    /// `max_new` newly added relations (the closure of a large database can be
-    /// quadratic). New relations inherit the sequential flag conservatively
-    /// (sequential if any edge on the path was sequential).
-    pub fn transitive_closure(&mut self, max_new: usize) -> usize {
-        let mut added = 0usize;
-        let mut changed = true;
-        while changed && added < max_new {
-            changed = false;
-            let snapshot: Vec<(Literal, Vec<Literal>)> = self
-                .forward
-                .iter()
-                .map(|(k, v)| (*k, v.iter().copied().collect()))
-                .collect();
-            let seq_of = |imp: &Implication, this: &ImplicationDb| -> bool {
-                this.index
-                    .get(&canonical_key(imp))
-                    .map(|&at| this.canonical[at].1)
-                    .unwrap_or(true)
-            };
-            for (a, consequents) in &snapshot {
-                for b in consequents {
-                    for c in self
-                        .forward
-                        .get(b)
-                        .map(|s| s.iter().copied().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                    {
-                        if c.node == a.node {
-                            continue;
-                        }
-                        let new_imp = Implication::new(*a, c);
-                        if !self.contains(&new_imp) {
-                            let seq = seq_of(&Implication::new(*a, *b), self)
-                                || seq_of(&Implication::new(*b, c), self);
-                            self.add(new_imp, seq);
-                            added += 1;
-                            changed = true;
-                            if added >= max_new {
-                                return added;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        added
     }
 }
 
@@ -299,24 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn consequents_include_contrapositives() {
-        let n = sample();
-        let mut db = ImplicationDb::new();
-        db.add(
-            Implication::new(lit(&n, "f1", true), lit(&n, "f2", false)),
-            true,
-        );
-        db.add(
-            Implication::new(lit(&n, "f1", true), lit(&n, "f3", false)),
-            true,
-        );
-        let cons: Vec<Literal> = db.consequents(lit(&n, "f1", true)).collect();
-        assert_eq!(cons.len(), 2);
-        let back: Vec<Literal> = db.consequents(lit(&n, "f2", true)).collect();
-        assert_eq!(back, vec![lit(&n, "f1", false)]);
-    }
-
-    #[test]
     fn merge_combines_databases() {
         let n = sample();
         let mut a = ImplicationDb::new();
@@ -335,27 +250,5 @@ mod tests {
         );
         a.merge(&b);
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn transitive_closure_adds_chained_relations() {
-        let n = sample();
-        let mut db = ImplicationDb::new();
-        db.add(
-            Implication::new(lit(&n, "f1", true), lit(&n, "f2", true)),
-            true,
-        );
-        db.add(
-            Implication::new(lit(&n, "f2", true), lit(&n, "f3", true)),
-            false,
-        );
-        let added = db.transitive_closure(100);
-        assert!(added >= 1);
-        assert!(db.implies(
-            n.require("f1").unwrap(),
-            true,
-            n.require("f3").unwrap(),
-            true
-        ));
     }
 }

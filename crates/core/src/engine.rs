@@ -3,7 +3,7 @@
 //! per-clock-class real-circuit handling.
 
 use crate::classes::{clock_classes, ClockClass};
-use crate::config::LearnConfig;
+use crate::config::LearnOptions;
 use crate::db::{ImplicationDb, RelationCounts};
 use crate::relation::{CrossImplication, Implication};
 use crate::tie::{TieKind, TiedGate};
@@ -104,12 +104,12 @@ impl LearnResult {
 #[derive(Debug, Clone)]
 pub struct SequentialLearner<'a> {
     netlist: &'a Netlist,
-    config: LearnConfig,
+    config: LearnOptions,
 }
 
 impl<'a> SequentialLearner<'a> {
     /// Creates a learner for `netlist` with the given configuration.
-    pub fn new(netlist: &'a Netlist, config: LearnConfig) -> Self {
+    pub fn new(netlist: &'a Netlist, config: LearnOptions) -> Self {
         SequentialLearner { netlist, config }
     }
 
@@ -119,7 +119,7 @@ impl<'a> SequentialLearner<'a> {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &LearnConfig {
+    pub fn config(&self) -> &LearnOptions {
         &self.config
     }
 
@@ -167,22 +167,22 @@ impl<'a> SequentialLearner<'a> {
             None
         };
 
-        let classes: Vec<Option<ClockClass>> = if self.config.partition_by_clock_class {
-            let cc = clock_classes(netlist);
-            if cc.len() <= 1 {
-                // A single class (or none): no mask needed, everything active.
-                vec![None]
-            } else {
-                cc.into_iter().map(Some).collect()
-            }
-        } else {
+        // Learning runs per clock class (paper §3.3.2). A single class (or
+        // none) needs no mask: everything is active.
+        let cc = clock_classes(netlist);
+        let classes: Vec<Option<ClockClass>> = if cc.len() <= 1 {
             vec![None]
+        } else {
+            cc.into_iter().map(Some).collect()
         };
 
+        // The set/reset and multiple-port-latch propagation rules
+        // (paper §3.3.1 / §3.3.3) always apply: learning without them is
+        // unsound on real circuits.
         let options = SimOptions {
             max_frames: self.config.max_frames,
             stop_on_repeat: true,
-            respect_seq_rules: self.config.respect_seq_rules,
+            respect_seq_rules: true,
         };
 
         let mut db = ImplicationDb::new();
@@ -292,10 +292,6 @@ impl<'a> SequentialLearner<'a> {
             }
         }
 
-        if self.config.closure_limit > 0 {
-            db.transitive_closure(self.config.closure_limit);
-        }
-
         let mut tied: Vec<TiedGate> = tied.into_values().collect();
         tied.sort_by_key(|t| t.node);
 
@@ -370,7 +366,7 @@ mod tests {
     #[test]
     fn learns_the_invalid_state_relation() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let f1 = n.require("f1").unwrap();
@@ -386,7 +382,7 @@ mod tests {
     #[test]
     fn every_learned_relation_is_sound_against_the_oracle() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let oracle = StateOracle::build(&n, StateOracle::DEFAULT_BIT_LIMIT).unwrap();
@@ -421,7 +417,7 @@ mod tests {
         b.dff("q", "d").unwrap();
         b.output("q").unwrap();
         let n = b.build().unwrap();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         let z = n.require("z").unwrap();
@@ -440,10 +436,10 @@ mod tests {
     #[test]
     fn single_node_only_learns_a_subset() {
         let n = exclusive_pair();
-        let full = SequentialLearner::new(&n, LearnConfig::default())
+        let full = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
-        let single = SequentialLearner::new(&n, LearnConfig::single_node_only())
+        let single = SequentialLearner::new(&n, LearnOptions::single_node_only())
             .learn()
             .unwrap();
         assert!(single.implications.len() <= full.implications.len());
@@ -452,7 +448,7 @@ mod tests {
     #[test]
     fn combinational_only_config_reports_no_sequential_relations() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::combinational_only())
+        let result = SequentialLearner::new(&n, LearnOptions::builder().max_frames(1).build())
             .learn()
             .unwrap();
         assert_eq!(result.stats.sequential.ff_ff, 0);
@@ -502,7 +498,7 @@ mod tests {
         b.output("g1").unwrap();
         b.output("g2").unwrap();
         let n = b.build().unwrap();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert_eq!(result.stats.classes, 2);
@@ -531,7 +527,7 @@ mod tests {
     #[test]
     fn stats_record_stems_and_cpu_time() {
         let n = exclusive_pair();
-        let result = SequentialLearner::new(&n, LearnConfig::default())
+        let result = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert_eq!(
@@ -546,7 +542,7 @@ mod tests {
     fn budget_truncates_learning_deterministically() {
         use crate::budget::WorkBudget;
         let n = exclusive_pair();
-        let full = SequentialLearner::new(&n, LearnConfig::default())
+        let full = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert!(!full.stats.budget_exhausted);
@@ -556,7 +552,7 @@ mod tests {
         );
 
         // A budget of two units processes exactly two stems and nothing else.
-        let tight = LearnConfig::builder().budget(WorkBudget::units(2)).build();
+        let tight = LearnOptions::builder().budget(WorkBudget::units(2)).build();
         let learner = SequentialLearner::new(&n, tight);
         let limited = learner.learn().unwrap();
         assert!(limited.stats.budget_exhausted);
@@ -581,7 +577,7 @@ mod tests {
 
         // A budget covering all the work changes nothing and reports no
         // exhaustion.
-        let roomy = LearnConfig::builder()
+        let roomy = LearnOptions::builder()
             .budget(WorkBudget::units(1_000_000))
             .build();
         let ample = SequentialLearner::new(&n, roomy).learn().unwrap();
@@ -595,11 +591,11 @@ mod tests {
     #[test]
     fn cross_frame_relations_only_when_requested() {
         let n = exclusive_pair();
-        let without = SequentialLearner::new(&n, LearnConfig::default())
+        let without = SequentialLearner::new(&n, LearnOptions::default())
             .learn()
             .unwrap();
         assert!(without.cross_frame.is_empty());
-        let with = SequentialLearner::new(&n, LearnConfig::builder().cross_frame(true).build())
+        let with = SequentialLearner::new(&n, LearnOptions::builder().cross_frame(true).build())
             .learn()
             .unwrap();
         assert!(!with.cross_frame.is_empty());

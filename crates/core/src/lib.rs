@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use sla_netlist::{GateType, NetlistBuilder};
-//! use sla_core::{LearnConfig, SequentialLearner};
+//! use sla_core::{LearnOptions, SequentialLearner};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Two flip-flops that can never both be 1.
@@ -51,7 +51,7 @@
 //! b.output("f2")?;
 //! let netlist = b.build()?;
 //!
-//! let result = SequentialLearner::new(&netlist, LearnConfig::default()).learn()?;
+//! let result = SequentialLearner::new(&netlist, LearnOptions::default()).learn()?;
 //! let f1 = netlist.require("f1")?;
 //! let f2 = netlist.require("f2")?;
 //! assert!(result.implications.implies(f1, true, f2, false));
@@ -70,7 +70,7 @@ pub mod single_node;
 pub mod tie;
 
 pub use budget::WorkBudget;
-pub use config::{LearnConfig, LearnOptions, LearnOptionsBuilder};
+pub use config::{LearnOptions, LearnOptionsBuilder};
 pub use db::ImplicationDb;
 pub use engine::{LearnResult, LearnStats, SequentialLearner};
 pub use relation::{CrossImplication, Implication, Literal, RelationKind};

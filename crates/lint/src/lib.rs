@@ -27,7 +27,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod cache;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -113,32 +112,33 @@ impl SourceFile {
     }
 }
 
-/// Findings and waivers of one file — the unit the incremental cache stores.
-/// Waiver filtering is per file (a waiver can only suppress findings in its
-/// own file), so caching at this granularity is exact: a workspace report is
-/// the concatenation of per-file reports in sorted path order.
-#[derive(Debug, Clone, Default)]
-pub struct FileReport {
-    /// Findings that survived waiver filtering, in line/rule order.
-    pub findings: Vec<Finding>,
-    /// Every syntactically valid waiver, whether or not it suppressed
-    /// anything.
-    pub waivers: Vec<AppliedWaiver>,
+/// Lints in-memory sources. `sources` are `(relative_path, content)` pairs;
+/// they are processed in sorted path order regardless of input order.
+pub fn lint_sources(mut sources: Vec<(String, String)>) -> Report {
+    sources.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut report = Report {
+        files: sources.len(),
+        ..Report::default()
+    };
+    for (rel, content) in sources {
+        lint_file(rel, &content, &mut report);
+    }
+    report
 }
 
-/// Lints a single file: tokenize, collect waivers, run every applicable
-/// rule, sort, waiver-filter. Pure — the output depends only on `rel` and
-/// `content`, which is what makes [`cache`] keying sound.
-pub fn lint_file(rel: &str, content: &str) -> FileReport {
+/// Lints a single file into `report`: tokenize, collect waivers, run every
+/// applicable rule, sort, waiver-filter. A waiver only suppresses findings
+/// in its own file, so a tree's report is the per-file results in path
+/// order.
+fn lint_file(rel: String, content: &str, report: &mut Report) {
     let file = SourceFile {
-        rel: rel.to_string(),
+        rel,
         tokens: lexer::tokenize(content),
     };
     let mut raw = Vec::new();
     let waivers = rules::collect_waivers(&file, &mut raw);
     rules::check_file(&file, &mut raw);
     raw.sort_by_key(|f| (f.line, rule_order(f.rule)));
-    let mut report = FileReport::default();
     for finding in raw {
         let waived = waivers.iter().any(|w| {
             w.rule == finding.rule && (finding.line == w.line || finding.line == w.line + 1)
@@ -158,23 +158,6 @@ pub fn lint_file(rel: &str, content: &str) -> FileReport {
             reason: w.reason,
         });
     }
-    report
-}
-
-/// Lints in-memory sources. `sources` are `(relative_path, content)` pairs;
-/// they are processed in sorted path order regardless of input order.
-pub fn lint_sources(mut sources: Vec<(String, String)>) -> Report {
-    sources.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut report = Report {
-        files: sources.len(),
-        ..Report::default()
-    };
-    for (rel, content) in sources {
-        let file = lint_file(&rel, &content);
-        report.findings.extend(file.findings);
-        report.waivers.extend(file.waivers);
-    }
-    report
 }
 
 fn rule_order(id: &str) -> usize {
@@ -191,37 +174,6 @@ fn rule_order(id: &str) -> usize {
 /// Propagates filesystem errors (unreadable directories or files).
 pub fn lint_tree(root: &Path) -> io::Result<Report> {
     Ok(lint_sources(collect_sources(root)?))
-}
-
-/// [`lint_tree`] with an incremental cache: files whose content hash matches
-/// a cache entry reuse the stored per-file report instead of re-linting.
-/// The report is identical to a cold [`lint_tree`] run by construction —
-/// per-file reports are pure functions of `(rel, content)` and the
-/// aggregation order is the same sorted path order. The cache is updated in
-/// place (pruned to exactly the files seen this run); the caller persists it.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (unreadable directories or files).
-pub fn lint_tree_with_cache(root: &Path, cache: &mut cache::Cache) -> io::Result<Report> {
-    let sources = collect_sources(root)?;
-    let mut report = Report {
-        files: sources.len(),
-        ..Report::default()
-    };
-    let mut next = cache::Cache::default();
-    for (rel, content) in sources {
-        let hash = cache::content_hash(&content);
-        let file = match cache.take(&rel, hash) {
-            Some(cached) => cached,
-            None => lint_file(&rel, &content),
-        };
-        next.put(rel, hash, file.clone());
-        report.findings.extend(file.findings);
-        report.waivers.extend(file.waivers);
-    }
-    *cache = next;
-    Ok(report)
 }
 
 /// Collects `(relative_path, content)` pairs for every `.rs` file under

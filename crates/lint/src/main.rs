@@ -6,15 +6,13 @@
 //! sla-lint --list-waivers       also print every counted waiver (sorted)
 //! sla-lint --json               machine-readable findings on stdout
 //! sla-lint --github             GitHub workflow ::error annotations
-//! sla-lint --cache <path>       incremental mode: reuse per-file findings
-//!                               keyed by content hash, update <path>
 //! sla-lint <root-dir>...        lint the tree(s) under explicit roots
 //!                               (fixture mode — how the test suite drives it)
 //! ```
 //!
 //! Output modes compose with either target selection. `--json` replaces the
 //! human findings listing (one sorted, compact JSON document, identical
-//! bytes for identical reports — CI diffs cold vs cached runs with `cmp`);
+//! bytes for identical reports);
 //! `--github` adds one `::error` annotation per finding for workflow logs.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
@@ -22,14 +20,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sla_lint::{cache::Cache, find_workspace_root, lint_tree, lint_tree_with_cache, Report, RULES};
+use sla_lint::{find_workspace_root, lint_tree, Report, RULES};
 
 struct Options {
     roots: Vec<PathBuf>,
     json: bool,
     github: bool,
     list_waivers: bool,
-    cache: Option<PathBuf>,
 }
 
 fn main() -> ExitCode {
@@ -52,23 +49,14 @@ fn main() -> ExitCode {
         json: false,
         github: false,
         list_waivers: false,
-        cache: None,
     };
     let mut workspace = false;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
+    for arg in args {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => opts.json = true,
             "--github" => opts.github = true,
             "--list-waivers" => opts.list_waivers = true,
-            "--cache" => match args.next() {
-                Some(path) => opts.cache = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("sla-lint: --cache needs a path argument");
-                    return ExitCode::from(2);
-                }
-            },
             other if other.starts_with("--") => {
                 eprintln!("sla-lint: unknown flag `{other}`");
                 usage();
@@ -102,24 +90,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut cache = match &opts.cache {
-        Some(path) => match Cache::load(path) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("sla-lint: cannot read cache {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     let mut total = Report::default();
     for root in &opts.roots {
-        let linted = match &mut cache {
-            Some(cache) => lint_tree_with_cache(root, cache),
-            None => lint_tree(root),
-        };
-        match linted {
+        match lint_tree(root) {
             Ok(report) => {
                 total.files += report.files;
                 total.findings.extend(report.findings);
@@ -129,13 +102,6 @@ fn main() -> ExitCode {
                 eprintln!("sla-lint: {}: {e}", root.display());
                 return ExitCode::from(2);
             }
-        }
-    }
-
-    if let (Some(cache), Some(path)) = (&cache, &opts.cache) {
-        if let Err(e) = cache.save(path) {
-            eprintln!("sla-lint: cannot write cache {}: {e}", path.display());
-            return ExitCode::from(2);
         }
     }
 
@@ -181,7 +147,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: sla-lint [--json] [--github] [--list-waivers] [--cache <path>] \
+        "usage: sla-lint [--json] [--github] [--list-waivers] \
          (--workspace | <root-dir>...)\n       sla-lint --list-rules"
     );
 }

@@ -36,8 +36,6 @@
 //!    (the `violations_tree_trips_every_rule` test fails until the fixture
 //!    tree trips the new rule).
 //! 5. Document the rule in ROADMAP.md ("Determinism contract enforcement").
-//!    Cached runs invalidate themselves: the cache key includes the rule
-//!    registry fingerprint, so a new rule forces a cold re-lint.
 //!
 //! # Waivers
 //!

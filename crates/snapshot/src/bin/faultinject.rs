@@ -9,7 +9,7 @@
 //! not.
 
 use sla_atpg::{
-    AbortReason, AtpgConfig, AtpgEngine, AtpgRun, FaultStatus, LearnedData, WorkBudget,
+    AbortReason, AtpgEngine, AtpgOptions, AtpgRun, FaultStatus, LearnedData, WorkBudget,
 };
 use sla_circuits::{table5_circuit, Table5Config};
 use sla_netlist::Netlist;
@@ -80,7 +80,7 @@ fn canonical(mut run: AtpgRun) -> AtpgRun {
 fn run_with(
     netlist: &Netlist,
     faults: &[Fault],
-    config: AtpgConfig,
+    config: AtpgOptions,
     panic_at: Option<usize>,
     threads: usize,
 ) -> Result<AtpgRun, String> {
@@ -100,7 +100,7 @@ fn check_panic(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Result<
     // Fault dropping could classify the target from an earlier test before
     // its own search runs, in which case the injected panic never fires;
     // disable it so every seed actually exercises the quarantine.
-    let config = AtpgConfig::builder().fault_dropping(false).build();
+    let config = AtpgOptions::builder().fault_dropping(false).build();
     let mut runs = Vec::new();
     for threads in THREADS {
         runs.push(run_with(netlist, faults, config, Some(target), threads)?);
@@ -139,7 +139,7 @@ fn check_panic(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Result<
 /// A bit-flipped snapshot must fail decoding with a typed error and
 /// `resume_or_fresh` must fall back to a run identical to a fresh one.
 fn check_corrupt(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Result<String, String> {
-    let engine = AtpgEngine::new(netlist, AtpgConfig::default())
+    let engine = AtpgEngine::new(netlist, AtpgOptions::default())
         .map_err(|e| format!("engine build failed: {e}"))?;
     let boundary = 1 + plan.pick(faults.len() - 1);
     let mut progress = engine.start(faults);
@@ -156,11 +156,11 @@ fn check_corrupt(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Resul
             ))
         }
     }
-    let fresh = run_with(netlist, faults, AtpgConfig::default(), None, 1)?;
+    let fresh = run_with(netlist, faults, AtpgOptions::default(), None, 1)?;
     let (run, err) = resume_or_fresh(
         &bytes,
         netlist,
-        AtpgConfig::default(),
+        AtpgOptions::default(),
         &LearnedData::new(),
         faults,
         1,
@@ -181,13 +181,13 @@ fn check_corrupt(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Resul
 /// A budget-limited run must stop at the same classified prefix for every
 /// thread count, with the unprocessed tail marked `Aborted(Budget)`.
 fn check_budget(netlist: &Netlist, faults: &[Fault], plan: InjectPlan) -> Result<String, String> {
-    let unlimited = run_with(netlist, faults, AtpgConfig::default(), None, 1)?;
+    let unlimited = run_with(netlist, faults, AtpgOptions::default(), None, 1)?;
     let total = unlimited.stats.budget_spent;
     if total == 0 {
         return Err("workload spent no budget; harness cannot exhaust it".to_string());
     }
     let units = 1 + plan.pick(total as usize) as u64;
-    let config = AtpgConfig::builder()
+    let config = AtpgOptions::builder()
         .budget(WorkBudget::units(units))
         .build();
     let mut runs = Vec::new();

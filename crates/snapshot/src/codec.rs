@@ -207,13 +207,11 @@ pub fn check_frame<'a>(
 pub fn write_atpg_options(w: &mut Writer, opts: &AtpgOptions) {
     w.u64(opts.backtrack_limit as u64);
     w.u64(opts.max_window as u64);
-    w.u64(opts.max_decisions as u64);
     w.u8(match opts.learning {
         LearningMode::None => 0,
         LearningMode::ForbiddenValue => 1,
         LearningMode::KnownValue => 2,
     });
-    w.u8(opts.grow_window as u8);
     w.u8(opts.fault_dropping as u8);
     w.u64(opts.budget.limit());
 }
@@ -222,22 +220,18 @@ pub fn write_atpg_options(w: &mut Writer, opts: &AtpgOptions) {
 pub fn read_atpg_options(r: &mut Reader<'_>) -> Result<AtpgOptions, SnapshotError> {
     let backtrack_limit = r.u64()? as usize;
     let max_window = r.u64()? as usize;
-    let max_decisions = r.u64()? as usize;
     let learning = match r.u8()? {
         0 => LearningMode::None,
         1 => LearningMode::ForbiddenValue,
         2 => LearningMode::KnownValue,
         _ => return Err(SnapshotError::Corrupt("learning mode")),
     };
-    let grow_window = r.bool()?;
     let fault_dropping = r.bool()?;
     let budget = WorkBudget::units(r.u64()?);
     Ok(AtpgOptions::builder()
         .backtrack_limit(backtrack_limit)
         .window(max_window)
-        .max_decisions(max_decisions)
         .learning(learning)
-        .grow_window(grow_window)
         .fault_dropping(fault_dropping)
         .budget(budget)
         .build())
@@ -394,7 +388,7 @@ mod tests {
             .backtrack_limit(1000)
             .learning(LearningMode::KnownValue)
             .window(3)
-            .grow_window(false)
+            .fault_dropping(false)
             .budget(WorkBudget::units(42))
             .build();
         let mut w = Writer::new();

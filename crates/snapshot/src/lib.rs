@@ -37,7 +37,7 @@ pub mod inject;
 
 use codec::Writer;
 use sla_atpg::{
-    AbortReason, AtpgConfig, AtpgEngine, AtpgRun, FaultStatus, LearnedData, RunProgress,
+    AbortReason, AtpgEngine, AtpgOptions, AtpgRun, FaultStatus, LearnedData, RunProgress,
 };
 use sla_core::{CrossImplication, ImplicationDb};
 use sla_netlist::{FastHasher, Netlist, NetlistError, NodeId};
@@ -47,7 +47,7 @@ use std::hash::Hasher;
 
 const MAGIC: &[u8; 4] = b"SLAS";
 /// Current snapshot format version. Bumped on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +147,7 @@ pub fn faults_hash(faults: &[Fault]) -> u64 {
 pub struct AtpgSnapshot {
     netlist_hash: u64,
     faults_hash: u64,
-    config: AtpgConfig,
+    config: AtpgOptions,
     implications: Vec<(sla_core::Implication, bool)>,
     cross_frame: Vec<CrossImplication>,
     tied: Vec<(NodeId, bool)>,
@@ -327,7 +327,7 @@ impl AtpgSnapshot {
     }
 
     /// The configuration the snapshotted run was using.
-    pub fn config(&self) -> &AtpgConfig {
+    pub fn config(&self) -> &AtpgOptions {
         &self.config
     }
 
@@ -392,7 +392,7 @@ impl AtpgSnapshot {
 pub fn resume_or_fresh(
     bytes: &[u8],
     netlist: &Netlist,
-    config: AtpgConfig,
+    config: AtpgOptions,
     learned: &LearnedData,
     faults: &[Fault],
     threads: usize,
@@ -433,7 +433,7 @@ mod tests {
 
     fn snapshot_mid_run(netlist: &Netlist) -> (AtpgSnapshot, Vec<Fault>) {
         let faults = collapsed_fault_list(netlist);
-        let engine = AtpgEngine::new(netlist, AtpgConfig::default()).unwrap();
+        let engine = AtpgEngine::new(netlist, AtpgOptions::default()).unwrap();
         let mut progress = engine.start(&faults);
         engine.advance(&faults, 1, &mut progress, Some(faults.len() / 2));
         (
@@ -455,7 +455,7 @@ mod tests {
     fn resume_continues_to_the_identical_result() {
         let n = sample();
         let (snapshot, faults) = snapshot_mid_run(&n);
-        let engine = AtpgEngine::new(&n, AtpgConfig::default()).unwrap();
+        let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let mut reference = engine.run_with_threads(&faults, 1);
         reference.stats.cpu = std::time::Duration::ZERO;
 
@@ -542,13 +542,13 @@ mod tests {
         let mut bytes = snapshot.encode();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        let baseline = AtpgEngine::new(&n, AtpgConfig::default())
+        let baseline = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .run_with_threads(&faults, 1);
         let (run, err) = resume_or_fresh(
             &bytes,
             &n,
-            AtpgConfig::default(),
+            AtpgOptions::default(),
             &LearnedData::new(),
             &faults,
             1,
@@ -561,7 +561,7 @@ mod tests {
         let (run, err) = resume_or_fresh(
             &snapshot.encode(),
             &n,
-            AtpgConfig::default(),
+            AtpgOptions::default(),
             &LearnedData::new(),
             &faults,
             1,

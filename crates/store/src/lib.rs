@@ -77,10 +77,7 @@ impl StoreKey {
         h.write_u64(options.max_frames as u64);
         h.write_u8(options.multiple_node as u8);
         h.write_u8(options.gate_equivalence as u8);
-        h.write_u8(options.partition_by_clock_class as u8);
-        h.write_u8(options.respect_seq_rules as u8);
         h.write_u8(options.learn_cross_frame as u8);
-        h.write_u64(options.closure_limit as u64);
         h.write_u64(options.equiv_config.random_words as u64);
         h.write_u64(options.equiv_config.seed);
         h.write_u64(options.equiv_config.exhaustive_input_limit as u64);
@@ -187,12 +184,7 @@ mod tests {
             LearnOptions::builder().max_frames(7).build(),
             LearnOptions::builder().multiple_node(false).build(),
             LearnOptions::builder().gate_equivalence(false).build(),
-            LearnOptions::builder()
-                .partition_by_clock_class(false)
-                .build(),
-            LearnOptions::builder().respect_seq_rules(false).build(),
             LearnOptions::builder().cross_frame(true).build(),
-            LearnOptions::builder().closure_limit(10).build(),
             LearnOptions::builder()
                 .equiv_config(sla_sim::EquivConfig {
                     random_words: 3,

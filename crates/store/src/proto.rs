@@ -34,7 +34,7 @@ use crate::CacheOutcome;
 /// Magic of every wire frame.
 const MAGIC: &[u8; 4] = b"SLAF";
 /// Wire protocol version.
-const PROTO_VERSION: u32 = 1;
+const PROTO_VERSION: u32 = 2;
 /// Upper bound on a single frame, defending the length prefix against
 /// garbage: a million-gate bench text stays well under this.
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
@@ -422,10 +422,7 @@ fn write_learn_options(w: &mut Writer, opts: &LearnOptions) {
     w.u64(opts.max_frames as u64);
     w.u8(opts.multiple_node as u8);
     w.u8(opts.gate_equivalence as u8);
-    w.u8(opts.partition_by_clock_class as u8);
-    w.u8(opts.respect_seq_rules as u8);
     w.u8(opts.learn_cross_frame as u8);
-    w.u64(opts.closure_limit as u64);
     w.u64(opts.equiv_config.random_words as u64);
     w.u64(opts.equiv_config.seed);
     w.u64(opts.equiv_config.exhaustive_input_limit as u64);
@@ -437,10 +434,7 @@ fn read_learn_options(r: &mut Reader<'_>) -> Result<LearnOptions, SnapshotError>
     let max_frames = r.u64()? as usize;
     let multiple_node = r.bool()?;
     let gate_equivalence = r.bool()?;
-    let partition_by_clock_class = r.bool()?;
-    let respect_seq_rules = r.bool()?;
     let learn_cross_frame = r.bool()?;
-    let closure_limit = r.u64()? as usize;
     let equiv_config = sla_sim::EquivConfig {
         random_words: r.u64()? as usize,
         seed: r.u64()?,
@@ -457,10 +451,7 @@ fn read_learn_options(r: &mut Reader<'_>) -> Result<LearnOptions, SnapshotError>
         .max_frames(max_frames)
         .multiple_node(multiple_node)
         .gate_equivalence(gate_equivalence)
-        .partition_by_clock_class(partition_by_clock_class)
-        .respect_seq_rules(respect_seq_rules)
         .cross_frame(learn_cross_frame)
-        .closure_limit(closure_limit)
         .equiv_config(equiv_config)
         .max_multi_node_targets(max_multi_node_targets)
         .budget(budget)
@@ -544,6 +535,31 @@ mod tests {
             Message::Error("bad".to_string())
         );
         assert_eq!(round_trip(&Message::Shutdown), Message::Shutdown);
+    }
+
+    #[test]
+    fn version_1_requests_are_rejected() {
+        // A version-1 request carried five learn/ATPG knobs version 2
+        // dropped; reseal a current request under the old version number.
+        let req = Message::Request(Request {
+            name: "old".to_string(),
+            bench: String::new(),
+            faults: Vec::new(),
+            learn: Some(LearnOptions::default()),
+            atpg: AtpgOptions::default(),
+        });
+        let frame = encode_message(&req);
+        let mut w = Writer::new();
+        w.bytes_raw(MAGIC);
+        w.u32(1);
+        w.bytes_raw(&frame[MAGIC.len() + 4..frame.len() - 8]);
+        assert_eq!(
+            decode_message(&w.seal()),
+            Err(SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: PROTO_VERSION
+            })
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub struct Session<'a> {
 
 impl<'a> Session<'a> {
     /// Opens a session on `netlist` with the environment's thread count
-    /// (`SLA_THREADS`, default single-threaded).
+    /// (`SLA_THREADS`; when it is unset, the machine's available
+    /// parallelism).
     pub fn open(netlist: &'a Netlist) -> Session<'a> {
         Session {
             netlist,

@@ -6,7 +6,7 @@
 
 use seqlearn::circuits::{industrial_circuit, IndustrialConfig};
 use seqlearn::learn::classes::clock_classes;
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 
 #[path = "util/stable.rs"]
 mod stable;
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {}", class.describe(&netlist));
     }
 
-    let result = SequentialLearner::new(&netlist, LearnConfig::default()).learn()?;
+    let result = SequentialLearner::new(&netlist, LearnOptions::default()).learn()?;
     println!(
         "\nLearned {} relations ({} FF-FF, {} gate-FF) and {} tied gates across {} classes in {}",
         result.stats.total.total(),

@@ -8,7 +8,7 @@
 mod stable;
 
 use seqlearn::circuits::{retimed_circuit, RetimedConfig};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::sim::StateOracle;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         density_bp % 100
     );
 
-    let result = SequentialLearner::new(&netlist, LearnConfig::default()).learn()?;
+    let result = SequentialLearner::new(&netlist, LearnOptions::default()).learn()?;
     let relations = result.invalid_state_relations(&netlist);
     println!(
         "Sequential learning found {} invalid-state relations in {}",

@@ -7,7 +7,7 @@
 mod stable;
 
 use seqlearn::circuits::paper_style_figure1;
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = paper_style_figure1();
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         netlist.num_sequential()
     );
 
-    let result = SequentialLearner::new(&netlist, LearnConfig::default()).learn()?;
+    let result = SequentialLearner::new(&netlist, LearnOptions::default()).learn()?;
 
     println!("\nLearned in {}:", stable::cpu(result.stats.cpu));
     println!(

@@ -13,9 +13,9 @@
 //!
 //! Run with `cargo run --release --example retimed_atpg`.
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode};
 use seqlearn::circuits::{retimed_circuit, table5_circuit, RetimedConfig, Table5Config};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::netlist::Netlist;
 use seqlearn::sim::collapsed_fault_list;
 
@@ -36,7 +36,7 @@ fn run_workload(
     );
 
     // Preprocessing: sequential learning.
-    let learn = SequentialLearner::new(netlist, LearnConfig::default()).learn()?;
+    let learn = SequentialLearner::new(netlist, LearnOptions::default()).learn()?;
     println!(
         "Learning: {} FF-FF relations, {} gate-FF relations, {} tied gates in {}",
         learn.stats.total.ff_ff,
@@ -60,7 +60,7 @@ fn run_workload(
     ] {
         let engine = AtpgEngine::new(
             netlist,
-            AtpgConfig::builder()
+            AtpgOptions::builder()
                 .backtrack_limit(backtrack_limit)
                 .learning(mode)
                 .build(),

@@ -15,9 +15,9 @@
 //!
 //! Run with `cargo run --release --example table5_atpg`.
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode};
 use seqlearn::circuits::{table5_circuit, Table5Config};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::sim::collapsed_fault_list;
 
 #[path = "util/stable.rs"]
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         netlist.num_sequential()
     );
 
-    let learn = SequentialLearner::new(&netlist, LearnConfig::builder().cross_frame(true).build())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::builder().cross_frame(true).build())
         .learn()?;
     let with_cross = LearnedData::from(&learn);
     let same_frame_only =
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let engine = AtpgEngine::new(
             &netlist,
-            AtpgConfig::builder()
+            AtpgOptions::builder()
                 .backtrack_limit(100)
                 .learning(mode)
                 .build(),

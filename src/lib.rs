@@ -25,11 +25,11 @@
 //!
 //! ```
 //! use seqlearn::circuits::paper_style_figure1;
-//! use seqlearn::learn::{LearnConfig, SequentialLearner};
+//! use seqlearn::learn::{LearnOptions, SequentialLearner};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let netlist = paper_style_figure1();
-//! let result = SequentialLearner::new(&netlist, LearnConfig::default()).learn()?;
+//! let result = SequentialLearner::new(&netlist, LearnOptions::default()).learn()?;
 //! println!(
 //!     "{} invalid-state relations, {} tied gates",
 //!     result.invalid_state_relations(&netlist).len(),

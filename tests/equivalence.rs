@@ -4,13 +4,13 @@
 //! must classify every fault identically across the learning modes that were
 //! verified to agree before the rewrite.
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode};
 use seqlearn::circuits::{
     industrial_circuit, paper_style_figure1, paper_style_figure2, retimed_circuit,
     IndustrialConfig, RetimedConfig,
 };
 use seqlearn::learn::classes::clock_classes;
-use seqlearn::learn::{multi_node, single_node, LearnConfig, SequentialLearner};
+use seqlearn::learn::{multi_node, single_node, LearnOptions, SequentialLearner};
 use seqlearn::netlist::stems::fanout_stems;
 use seqlearn::netlist::{Netlist, NodeId};
 use seqlearn::sim::{collapsed_fault_list, find_equivalences, InjectionSim, SimOptions};
@@ -40,7 +40,7 @@ fn named_circuits() -> Vec<Netlist> {
 #[test]
 fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
     for netlist in named_circuits() {
-        let config = LearnConfig::default();
+        let config = LearnOptions::default();
         let stems = fanout_stems(&netlist);
         let equivalences = find_equivalences(&netlist, &config.equiv_config).unwrap();
         let classes = clock_classes(&netlist);
@@ -157,20 +157,20 @@ fn learning_modes_classify_retimed_faults_identically() {
         ..RetimedConfig::default()
     });
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .unwrap(),
     );
     let mut faults = collapsed_fault_list(&netlist);
     faults.truncate(60);
 
-    let baseline = AtpgEngine::new(&netlist, AtpgConfig::builder().backtrack_limit(30).build())
+    let baseline = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
         .unwrap()
         .run(&faults);
     for mode in [LearningMode::ForbiddenValue, LearningMode::KnownValue] {
         let run = AtpgEngine::new(
             &netlist,
-            AtpgConfig::builder()
+            AtpgOptions::builder()
                 .backtrack_limit(30)
                 .learning(mode)
                 .build(),

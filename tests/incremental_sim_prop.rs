@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use seqlearn::atpg::{
-    AtpgConfig, ImplicationLayer, IncrementalLayer, LearnedData, LearningMode, LiteralAdjacency,
+    AtpgOptions, ImplicationLayer, IncrementalLayer, LearnedData, LearningMode, LiteralAdjacency,
     MachineMark, SearchMachines, TestGenerator,
 };
 use seqlearn::circuits::{synthesize, SynthConfig};
@@ -166,7 +166,7 @@ proptest! {
 
         // The generator only provides the retained reference path here.
         let reference_gen =
-            TestGenerator::new(&netlist, AtpgConfig::default(), &LearnedData::new()).unwrap();
+            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
 
         let db = random_db(&netlist, &mut bits, relations);
         // Two thirds of the cases also carry random cross-frame relations,
@@ -335,7 +335,7 @@ proptest! {
         let fault = faults[(bits.next() % faults.len() as u64) as usize];
         let pis = netlist.inputs().to_vec();
         let reference_gen =
-            TestGenerator::new(&netlist, AtpgConfig::default(), &LearnedData::new()).unwrap();
+            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
 
         let mut machines = SearchMachines::new(&netlist, &levels, 1, fault);
         // Dirty the trails as an exhausted search would, then rewind + grow.

@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: the full preprocessing-to-ATPG flow on the
 //! paper-style circuits and the benchmark generators.
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, FaultStatus, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, FaultStatus, LearnedData, LearningMode};
 use seqlearn::circuits::{
     build_profile, paper_style_figure1, paper_style_figure2, profile_by_name, retimed_circuit, s27,
     RetimedConfig,
 };
-use seqlearn::learn::{LearnConfig, SequentialLearner, TieKind};
+use seqlearn::learn::{LearnOptions, SequentialLearner, TieKind};
 use seqlearn::netlist::parser::parse_bench;
 use seqlearn::netlist::writer::write_bench;
 use seqlearn::redundancy::identify_untestable;
@@ -15,7 +15,7 @@ use seqlearn::sim::{collapsed_fault_list, FaultSimulator, StateOracle};
 #[test]
 fn figure1_learning_finds_ties_equivalence_relations_and_invalid_states() {
     let netlist = paper_style_figure1();
-    let result = SequentialLearner::new(&netlist, LearnConfig::default())
+    let result = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
 
@@ -59,7 +59,7 @@ fn figure2_relation_needs_multiple_node_learning() {
     let g9 = netlist.require("G9").unwrap();
     let f2 = netlist.require("F2").unwrap();
 
-    let single = SequentialLearner::new(&netlist, LearnConfig::single_node_only())
+    let single = SequentialLearner::new(&netlist, LearnOptions::single_node_only())
         .learn()
         .unwrap();
     assert!(
@@ -67,7 +67,7 @@ fn figure2_relation_needs_multiple_node_learning() {
         "single-node learning must not find G9=0 -> F2=0"
     );
 
-    let full = SequentialLearner::new(&netlist, LearnConfig::default())
+    let full = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
     assert!(
@@ -80,14 +80,14 @@ fn figure2_relation_needs_multiple_node_learning() {
 fn s27_end_to_end_learn_and_atpg() {
     let netlist = s27();
     let learned = LearnedData::from(
-        &SequentialLearner::new(&netlist, LearnConfig::default())
+        &SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .unwrap(),
     );
     let faults = collapsed_fault_list(&netlist);
     let run = AtpgEngine::new(
         &netlist,
-        AtpgConfig::builder()
+        AtpgOptions::builder()
             .backtrack_limit(100)
             .learning(LearningMode::ForbiddenValue)
             .build(),
@@ -127,7 +127,7 @@ fn retimed_circuit_learning_helps_atpg() {
         seed: 5,
         ..RetimedConfig::default()
     });
-    let learn = SequentialLearner::new(&netlist, LearnConfig::default())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
     assert!(
@@ -138,12 +138,12 @@ fn retimed_circuit_learning_helps_atpg() {
     let mut faults = collapsed_fault_list(&netlist);
     faults.truncate(80);
 
-    let baseline = AtpgEngine::new(&netlist, AtpgConfig::builder().backtrack_limit(30).build())
+    let baseline = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
         .unwrap()
         .run(&faults);
     let with_learning = AtpgEngine::new(
         &netlist,
-        AtpgConfig::builder()
+        AtpgOptions::builder()
             .backtrack_limit(30)
             .learning(LearningMode::ForbiddenValue)
             .build(),
@@ -163,7 +163,7 @@ fn retimed_circuit_learning_helps_atpg() {
 #[test]
 fn fire_baseline_and_tie_learning_agree_on_obvious_redundancy() {
     let netlist = paper_style_figure1();
-    let learn = SequentialLearner::new(&netlist, LearnConfig::default())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
     let fire = identify_untestable(&netlist).unwrap();
@@ -185,10 +185,10 @@ fn profiles_round_trip_through_bench_format() {
     assert_eq!(netlist.num_nodes(), reparsed.num_nodes());
     assert_eq!(netlist.num_sequential(), reparsed.num_sequential());
     // Learning on the reparsed circuit gives the same counts.
-    let a = SequentialLearner::new(&netlist, LearnConfig::default())
+    let a = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
-    let b = SequentialLearner::new(&reparsed, LearnConfig::default())
+    let b = SequentialLearner::new(&reparsed, LearnOptions::default())
         .learn()
         .unwrap();
     assert_eq!(a.stats.total.total(), b.stats.total.total());
@@ -199,7 +199,7 @@ fn profiles_round_trip_through_bench_format() {
 fn atpg_statuses_are_consistent_with_fault_simulation() {
     let netlist = s27();
     let faults = collapsed_fault_list(&netlist);
-    let run = AtpgEngine::new(&netlist, AtpgConfig::builder().backtrack_limit(50).build())
+    let run = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(50).build())
         .unwrap()
         .run(&faults);
     let sim = FaultSimulator::new(&netlist).unwrap();

@@ -12,10 +12,10 @@
 
 use proptest::prelude::*;
 use seqlearn::atpg::{
-    AbortReason, AtpgConfig, AtpgEngine, FaultStatus, LearnedData, LearningMode, WorkBudget,
+    AbortReason, AtpgEngine, AtpgOptions, FaultStatus, LearnedData, LearningMode, WorkBudget,
 };
 use seqlearn::circuits::{synthesize, SynthConfig};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::netlist::Netlist;
 use seqlearn::sim::collapsed_fault_list;
 
@@ -48,7 +48,7 @@ proptest! {
         cross_pick in 0usize..2,
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
-        let config = LearnConfig::builder().cross_frame(cross_pick == 1).build();
+        let config = LearnOptions::builder().cross_frame(cross_pick == 1).build();
         let learner = SequentialLearner::new(&netlist, config);
         let reference = learner.learn_with_threads(1).unwrap();
         for threads in THREAD_COUNTS {
@@ -95,14 +95,14 @@ proptest! {
         let learned = LearnedData::from(
             &SequentialLearner::new(
                 &netlist,
-                LearnConfig::builder().cross_frame(true).build(),
+                LearnOptions::builder().cross_frame(true).build(),
             )
             .learn_with_threads(1)
             .unwrap(),
         );
         let mode = [LearningMode::None, LearningMode::ForbiddenValue, LearningMode::KnownValue]
             [mode_pick];
-        let config = AtpgConfig::builder()
+        let config = AtpgOptions::builder()
             .backtrack_limit(20)
             .learning(mode)
             .fault_dropping(drop_pick == 1)
@@ -143,7 +143,7 @@ proptest! {
         budget_eighths in 1u64..8,
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
-        let base = AtpgConfig::builder().backtrack_limit(20).build();
+        let base = AtpgOptions::builder().backtrack_limit(20).build();
         let mut faults = collapsed_fault_list(&netlist);
         faults.truncate(40);
         let unlimited = AtpgEngine::new(&netlist, base).unwrap().run_with_threads(&faults, 1);
@@ -206,7 +206,7 @@ fn sharded_pipeline_matches_serial_on_structured_workloads() {
     let table5x = table5_circuit(&Table5Config::with_cross_cells(2));
     for (netlist, cross) in [(&retimed, false), (&table5, false), (&table5x, true)] {
         let learner =
-            SequentialLearner::new(netlist, LearnConfig::builder().cross_frame(cross).build());
+            SequentialLearner::new(netlist, LearnOptions::builder().cross_frame(cross).build());
         let learn_ref = learner.learn_with_threads(1).unwrap();
         let learn_par = learner.learn_with_threads(4).unwrap();
         assert_eq!(
@@ -218,7 +218,7 @@ fn sharded_pipeline_matches_serial_on_structured_workloads() {
 
         let engine = AtpgEngine::new(
             netlist,
-            AtpgConfig::builder()
+            AtpgOptions::builder()
                 .backtrack_limit(30)
                 .learning(LearningMode::ForbiddenValue)
                 .build(),

@@ -5,10 +5,10 @@
 //! sharded execution.
 
 use seqlearn::atpg::{
-    AbortReason, AtpgConfig, AtpgEngine, AtpgRun, FaultStatus, LearnedData, LearningMode,
+    AbortReason, AtpgEngine, AtpgOptions, AtpgRun, FaultStatus, LearnedData, LearningMode,
 };
 use seqlearn::circuits::{table5_circuit, Table5Config};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::netlist::Netlist;
 use seqlearn::sim::collapsed_fault_list;
 use sla_snapshot::{inject, resume_or_fresh, AtpgSnapshot, SnapshotError};
@@ -27,7 +27,7 @@ fn canonical(mut run: AtpgRun) -> AtpgRun {
 
 fn learned_for(netlist: &Netlist, cross: bool) -> LearnedData {
     LearnedData::from(
-        &SequentialLearner::new(netlist, LearnConfig::builder().cross_frame(cross).build())
+        &SequentialLearner::new(netlist, LearnOptions::builder().cross_frame(cross).build())
             .learn_with_threads(1)
             .expect("learning the workload"),
     )
@@ -40,8 +40,8 @@ fn workloads() -> Vec<(Netlist, bool)> {
     ]
 }
 
-fn config() -> AtpgConfig {
-    AtpgConfig::builder()
+fn config() -> AtpgOptions {
+    AtpgOptions::builder()
         .backtrack_limit(30)
         .learning(LearningMode::ForbiddenValue)
         .build()

@@ -4,7 +4,7 @@
 //! heavier integration and property suites run.
 
 use seqlearn::circuits::paper_style_figure1;
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::sim::{InjectionSim, StateOracle};
 
 /// `paper_style_figure1()` must learn at least one invalid-state relation and
@@ -22,7 +22,7 @@ fn facade_learns_figure1_end_to_end() {
     // The sim layer is reachable through the facade and accepts the netlist.
     InjectionSim::new(&netlist).expect("figure 1 levelizes");
 
-    let result = SequentialLearner::new(&netlist, LearnConfig::default())
+    let result = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .expect("learning succeeds on the paper's running example");
 
@@ -61,8 +61,8 @@ fn facade_reexports_resolve() {
     let _ = seqlearn::netlist::GateType::And;
     let faults = seqlearn::sim::collapsed_fault_list(&netlist);
     assert!(!faults.is_empty());
-    let _ = seqlearn::learn::LearnConfig::default();
-    let _ = seqlearn::atpg::AtpgConfig::builder()
+    let _ = seqlearn::learn::LearnOptions::default();
+    let _ = seqlearn::atpg::AtpgOptions::builder()
         .backtrack_limit(1)
         .build();
     let fire = seqlearn::redundancy::identify_untestable(&netlist).expect("FIRE runs on s27");

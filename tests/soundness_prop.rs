@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use seqlearn::circuits::{retimed_circuit, synthesize, RetimedConfig, SynthConfig};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::netlist::levelize::levelize;
 use seqlearn::netlist::parser::parse_bench;
 use seqlearn::netlist::writer::write_bench;
@@ -38,7 +38,7 @@ proptest! {
         gates in 10usize..40,
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
-        let result = SequentialLearner::new(&netlist, LearnConfig::default())
+        let result = SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .unwrap();
         let oracle = StateOracle::build(&netlist, StateOracle::DEFAULT_BIT_LIMIT).unwrap();
@@ -80,7 +80,7 @@ proptest! {
             inputs: 3,
             seed,
         });
-        let result = SequentialLearner::new(&netlist, LearnConfig::default())
+        let result = SequentialLearner::new(&netlist, LearnOptions::default())
             .learn()
             .unwrap();
         let oracle = StateOracle::build(&netlist, StateOracle::DEFAULT_BIT_LIMIT).unwrap();
@@ -114,7 +114,7 @@ proptest! {
         let netlist = small_synth(seed, flip_flops, gates);
         let result = SequentialLearner::new(
             &netlist,
-            LearnConfig::builder().cross_frame(true).build(),
+            LearnOptions::builder().cross_frame(true).build(),
         )
         .learn()
         .unwrap();

@@ -14,9 +14,9 @@
 //!   simulation never contradicts, and learning prunes nothing — the
 //!   original "zero backtrack reduction" bug).
 
-use seqlearn::atpg::{AtpgConfig, AtpgEngine, AtpgRun, LearnedData, LearningMode};
+use seqlearn::atpg::{AtpgEngine, AtpgOptions, AtpgRun, LearnedData, LearningMode};
 use seqlearn::circuits::{table5_circuit, Table5Config};
-use seqlearn::learn::{LearnConfig, SequentialLearner};
+use seqlearn::learn::{LearnOptions, SequentialLearner};
 use seqlearn::sim::collapsed_fault_list;
 
 fn run_mode(
@@ -26,7 +26,7 @@ fn run_mode(
 ) -> AtpgRun {
     AtpgEngine::new(
         netlist,
-        AtpgConfig::builder()
+        AtpgOptions::builder()
             .backtrack_limit(100)
             .learning(mode)
             .build(),
@@ -39,7 +39,7 @@ fn run_mode(
 #[test]
 fn learning_strictly_reduces_backtracks_on_the_table5_workload() {
     let netlist = table5_circuit(&Table5Config::default());
-    let learn = SequentialLearner::new(&netlist, LearnConfig::default())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
     let learned = LearnedData::from(&learn);
@@ -91,7 +91,7 @@ fn learning_strictly_reduces_backtracks_on_the_table5_workload() {
 #[test]
 fn cross_frame_relations_strictly_reduce_backtracks() {
     let netlist = table5_circuit(&Table5Config::with_cross_cells(4));
-    let learn = SequentialLearner::new(&netlist, LearnConfig::builder().cross_frame(true).build())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::builder().cross_frame(true).build())
         .learn()
         .unwrap();
     assert!(
@@ -144,7 +144,7 @@ fn cross_frame_relations_strictly_reduce_backtracks() {
 #[test]
 fn workload_relations_link_the_redundant_chain_ends() {
     let netlist = table5_circuit(&Table5Config::default());
-    let learn = SequentialLearner::new(&netlist, LearnConfig::default())
+    let learn = SequentialLearner::new(&netlist, LearnOptions::default())
         .learn()
         .unwrap();
     let fb = netlist.require("fb0_0").unwrap();
