@@ -22,12 +22,27 @@ use std::hash::Hasher;
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// Leading bytes that belong to the caller, not to the frame: the
+    /// checksum skips them.
+    reserved: usize,
 }
 
 impl Writer {
     /// An empty writer.
     pub fn new() -> Writer {
-        Writer { buf: Vec::new() }
+        Writer::with_reserved(0)
+    }
+
+    /// A writer whose first `n` bytes are zeros reserved for a header the
+    /// caller fills in after [`Writer::seal`], such as a transport length
+    /// prefix. The frame and its checksum start after them, so the sealed
+    /// frame is the same as a [`Writer::new`] one, and no second copy is
+    /// needed to put the header in front of it.
+    pub fn with_reserved(n: usize) -> Writer {
+        Writer {
+            buf: vec![0; n],
+            reserved: n,
+        }
     }
 
     /// Appends raw bytes with no length prefix (magic values).
@@ -56,10 +71,11 @@ impl Writer {
         self.bytes_raw(s.as_bytes());
     }
 
-    /// Appends the checksum and returns the finished frame bytes.
+    /// Appends the checksum of the frame and returns the finished bytes,
+    /// reserved header included.
     pub fn seal(mut self) -> Vec<u8> {
         let mut h = FastHasher::default();
-        h.write(&self.buf);
+        h.write(&self.buf[self.reserved..]);
         let sum = h.finish();
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
@@ -380,6 +396,20 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(check_frame(&bytes[..len], MAGIC, 7).is_err());
         }
+    }
+
+    #[test]
+    fn reserved_header_is_outside_the_frame() {
+        let fill = |mut w: Writer| {
+            w.bytes_raw(b"TSTF");
+            w.u32(7);
+            w.str("payload");
+            w.seal()
+        };
+        let plain = fill(Writer::new());
+        let reserved = fill(Writer::with_reserved(4));
+        assert_eq!(reserved[..4], [0; 4]);
+        assert_eq!(reserved[4..], plain[..]);
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! one [`Message::Verdict`] per fault in strict fault order, then one
 //! [`Message::Done`] summary. Malformed requests get [`Message::Error`].
 //! [`Message::Shutdown`] asks the server process to exit cleanly.
+//!
+//! Transport: [`write_message`] hands each message to the writer as a
+//! single `write_all` of prefix and frame, built in one buffer, and then
+//! flushes. A length prefix written on its own would leave as a TCP segment
+//! of its own, and Nagle's algorithm plus the peer's delayed ACK would then
+//! hold the frame behind it for tens of milliseconds. The server batches
+//! each merged stride of verdicts into one flush with the same framing.
 
 use sla_atpg::{AbortReason, AtpgOptions, FaultStatus};
 use sla_core::{LearnOptions, WorkBudget};
@@ -37,7 +44,9 @@ const MAGIC: &[u8; 4] = b"SLAF";
 const PROTO_VERSION: u32 = 2;
 /// Upper bound on a single frame, defending the length prefix against
 /// garbage: a million-gate bench text stays well under this.
-const MAX_FRAME: u32 = 256 * 1024 * 1024;
+pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
+/// Bytes of the little-endian `u32` length prefix in front of every frame.
+const PREFIX_LEN: usize = 4;
 
 const TAG_REQUEST: u8 = 1;
 const TAG_VERDICT: u8 = 2;
@@ -231,7 +240,11 @@ impl From<SnapshotError> for ProtoError {
 
 /// Serializes `msg` as a sealed frame (without the length prefix).
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
+    seal_message(Writer::new(), msg)
+}
+
+/// Writes the frame of `msg` into `w` and seals it.
+fn seal_message(mut w: Writer, msg: &Message) -> Vec<u8> {
     w.bytes_raw(MAGIC);
     w.u32(PROTO_VERSION);
     match msg {
@@ -371,18 +384,50 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, SnapshotError> {
     Ok(msg)
 }
 
-/// Writes `msg` to `out` with its length prefix and flushes.
+/// Writes `msg` to `out` with its length prefix, in one `write_all`, and
+/// flushes.
+///
+/// The flush makes every message leave on its own, which is what a client
+/// waiting for the answer to its request needs.
+///
+/// # Errors
+///
+/// A frame longer than [`MAX_FRAME`] is an [`std::io::ErrorKind::InvalidInput`]
+/// error and nothing is written; otherwise any error of `out`.
 pub fn write_message(out: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    let frame = encode_message(msg);
-    out.write_all(&(frame.len() as u32).to_le_bytes())?;
-    out.write_all(&frame)?;
+    write_message_unflushed(out, msg)?;
     out.flush()
+}
+
+/// [`write_message`] without the flush: hands the length prefix and the
+/// frame to `out` in one `write_all` and leaves flushing to the caller, so
+/// a buffered writer can batch several small messages into one send.
+///
+/// # Errors
+///
+/// As [`write_message`].
+pub(crate) fn write_message_unflushed(out: &mut impl Write, msg: &Message) -> std::io::Result<()> {
+    // The frame is sealed behind room for the prefix, so an 8 MB request
+    // is not copied a second time to put four bytes in front of it.
+    let mut bytes = seal_message(Writer::with_reserved(PREFIX_LEN), msg);
+    let len = bytes.len() - PREFIX_LEN;
+    let prefix = u32::try_from(len)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("frame length {len} exceeds limit {MAX_FRAME}"),
+            )
+        })?;
+    bytes[..PREFIX_LEN].copy_from_slice(&prefix.to_le_bytes());
+    out.write_all(&bytes)
 }
 
 /// Reads one message, blocking. EOF before a length prefix is a clean end
 /// of conversation (`Ok(None)`); EOF mid-frame is an error.
 pub fn read_message(input: &mut impl Read) -> Result<Option<Message>, ProtoError> {
-    let mut prefix = [0u8; 4];
+    let mut prefix = [0u8; PREFIX_LEN];
     match input.read_exact(&mut prefix) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
@@ -473,68 +518,122 @@ mod tests {
         back
     }
 
+    /// One message of every kind: a full and an empty request, a verdict
+    /// per status, a summary, an error and a shutdown.
+    fn every_kind() -> Vec<Message> {
+        let mut msgs = vec![
+            Message::Request(Request {
+                name: "s27".to_string(),
+                bench: "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n".to_string(),
+                faults: vec![
+                    FaultSpec::Output {
+                        node: "a".to_string(),
+                        stuck_at: true,
+                    },
+                    FaultSpec::Input {
+                        gate: "b".to_string(),
+                        pin: 0,
+                        stuck_at: false,
+                    },
+                ],
+                learn: Some(LearnOptions::builder().cross_frame(true).build()),
+                atpg: AtpgOptions::builder().backtrack_limit(7).build(),
+            }),
+            Message::Request(Request {
+                name: String::new(),
+                bench: String::new(),
+                faults: Vec::new(),
+                learn: None,
+                atpg: AtpgOptions::default(),
+            }),
+        ];
+        msgs.extend(
+            [
+                FaultStatus::Detected,
+                FaultStatus::Untestable,
+                FaultStatus::Aborted(AbortReason::Limit),
+                FaultStatus::Aborted(AbortReason::Budget),
+                FaultStatus::Aborted(AbortReason::Panic),
+            ]
+            .map(|status| Message::Verdict { index: 42, status }),
+        );
+        msgs.extend([
+            Message::Done(Summary {
+                total_faults: 10,
+                detected: 7,
+                untestable: 2,
+                aborted: 1,
+                backtracks: 100,
+                decisions: 2000,
+                sequences: 7,
+                test_vectors: 31,
+                budget_spent: 2100,
+                cache: CacheOutcome::Hit,
+                learn_work_units: 0,
+            }),
+            Message::Error("bad".to_string()),
+            Message::Shutdown,
+        ]);
+        msgs
+    }
+
+    /// Records the bytes of every `write` call and counts flushes.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_of_prefix_and_frame() {
+        for msg in every_kind() {
+            let frame = encode_message(&msg);
+            let mut want = (frame.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&frame);
+
+            let mut out = Recorder::default();
+            write_message(&mut out, &msg).expect("write");
+            assert_eq!(out.writes, [want.clone()], "{msg:?}");
+            assert_eq!(out.flushes, 1, "write_message flushes once");
+
+            let mut out = Recorder::default();
+            write_message_unflushed(&mut out, &msg).expect("write");
+            assert_eq!(out.writes, [want], "{msg:?}");
+            assert_eq!(
+                out.flushes, 0,
+                "the unflushed variant leaves flushing to the caller"
+            );
+        }
+    }
+
     #[test]
     fn request_round_trips() {
-        let msg = Message::Request(Request {
-            name: "s27".to_string(),
-            bench: "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n".to_string(),
-            faults: vec![
-                FaultSpec::Output {
-                    node: "a".to_string(),
-                    stuck_at: true,
-                },
-                FaultSpec::Input {
-                    gate: "b".to_string(),
-                    pin: 0,
-                    stuck_at: false,
-                },
-            ],
-            learn: Some(LearnOptions::builder().cross_frame(true).build()),
-            atpg: AtpgOptions::builder().backtrack_limit(7).build(),
-        });
-        assert_eq!(round_trip(&msg), msg);
-
-        let no_learn = Message::Request(Request {
-            name: String::new(),
-            bench: String::new(),
-            faults: Vec::new(),
-            learn: None,
-            atpg: AtpgOptions::default(),
-        });
-        assert_eq!(round_trip(&no_learn), no_learn);
+        for msg in every_kind() {
+            if matches!(msg, Message::Request(_)) {
+                assert_eq!(round_trip(&msg), msg);
+            }
+        }
     }
 
     #[test]
     fn verdict_done_error_round_trip() {
-        for status in [
-            FaultStatus::Detected,
-            FaultStatus::Untestable,
-            FaultStatus::Aborted(AbortReason::Limit),
-            FaultStatus::Aborted(AbortReason::Budget),
-            FaultStatus::Aborted(AbortReason::Panic),
-        ] {
-            let msg = Message::Verdict { index: 42, status };
-            assert_eq!(round_trip(&msg), msg);
+        for msg in every_kind() {
+            if !matches!(msg, Message::Request(_)) {
+                assert_eq!(round_trip(&msg), msg);
+            }
         }
-        let done = Message::Done(Summary {
-            total_faults: 10,
-            detected: 7,
-            untestable: 2,
-            aborted: 1,
-            backtracks: 100,
-            decisions: 2000,
-            sequences: 7,
-            test_vectors: 31,
-            budget_spent: 2100,
-            cache: CacheOutcome::Hit,
-            learn_work_units: 0,
-        });
-        assert_eq!(round_trip(&done), done);
-        assert_eq!(
-            round_trip(&Message::Error("bad".to_string())),
-            Message::Error("bad".to_string())
-        );
-        assert_eq!(round_trip(&Message::Shutdown), Message::Shutdown);
     }
 
     #[test]

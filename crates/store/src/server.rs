@@ -11,9 +11,18 @@
 //! and connections, so the second request for a design skips learning
 //! entirely. Cache failures never fail a request: a corrupt entry is logged
 //! (full error chain) and repopulated from a fresh learning run.
+//!
+//! No frame the server sends is held back for an ACK. Every accepted
+//! stream runs with `TCP_NODELAY`, so Nagle's algorithm never holds a small
+//! frame back until the client's delayed ACK. Verdicts go out one merged
+//! stride at a time: the stride's frames are written into the connection's
+//! buffer unflushed and flushed once, so a full stride of 32 leaves in one
+//! send, as soon as the session has merged it. `Done` and `Error` frames
+//! are flushed as they are written.
 
 use crate::proto::{self, Message, ProtoError, Request, Summary};
 use crate::{error_chain, CacheOutcome, LearnedStore, Session};
+use sla_atpg::{AtpgStats, FaultStatus};
 use sla_netlist::parser::parse_bench;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -60,6 +69,9 @@ pub fn serve(listener: TcpListener, options: &ServeOptions) -> std::io::Result<(
                 continue;
             }
         };
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("sla-serve: set_nodelay failed: {e}");
+        }
         match handle_connection(&stream, &mut store, &mut served, options.max_requests) {
             Ok(Flow::Continue) => {}
             Ok(Flow::Stop) => return Ok(()),
@@ -171,22 +183,16 @@ fn handle_request(
         cache,
         learn_work_units
     );
-    let mut stream_err: Option<std::io::Error> = None;
-    let run = session.atpg_streaming(&req.atpg, &faults, |index, status| {
-        if stream_err.is_none() {
-            if let Err(e) = proto::write_message(
-                output,
-                &Message::Verdict {
-                    index: index as u32,
-                    status,
-                },
-            ) {
-                stream_err = Some(e);
-            }
+    let mut failure = None;
+    let run = session.atpg_streaming(&req.atpg, &faults, |first, verdicts| {
+        if failure.is_none() {
+            failure = write_stride(output, first, verdicts).err();
         }
     });
-    if let Some(e) = stream_err {
-        return Err(e);
+    match failure {
+        Some(StrideError::Io(e)) => return Err(e),
+        Some(StrideError::Overflow(text)) => return reply_overflow(output, &req.name, text),
+        None => {}
     }
     let run = match run {
         Ok(run) => run,
@@ -195,20 +201,95 @@ fn handle_request(
             return proto::write_message(output, &Message::Error(format!("atpg failed: {e}")));
         }
     };
-    proto::write_message(
-        output,
-        &Message::Done(Summary {
-            total_faults: run.stats.total_faults as u32,
-            detected: run.stats.detected as u32,
-            untestable: run.stats.untestable as u32,
-            aborted: run.stats.aborted as u32,
-            backtracks: run.stats.backtracks as u64,
-            decisions: run.stats.decisions as u64,
-            sequences: run.stats.sequences as u32,
-            test_vectors: run.stats.test_vectors as u64,
-            budget_spent: run.stats.budget_spent,
-            cache,
-            learn_work_units,
-        }),
-    )
+    match summarize(&run.stats, cache, learn_work_units) {
+        Ok(summary) => proto::write_message(output, &Message::Done(summary)),
+        Err(text) => reply_overflow(output, &req.name, text),
+    }
+}
+
+/// Why a stride of verdicts was not sent.
+enum StrideError {
+    /// The connection failed.
+    Io(std::io::Error),
+    /// A fault index does not fit its wire field.
+    Overflow(String),
+}
+
+/// Writes one merged stride of verdicts into `output` unflushed, then
+/// flushes once, so the whole stride leaves in one send.
+fn write_stride(
+    output: &mut impl Write,
+    first: usize,
+    verdicts: &[FaultStatus],
+) -> Result<(), StrideError> {
+    for (index, &status) in (first..).zip(verdicts) {
+        let index = wire_u32("verdict index", index).map_err(StrideError::Overflow)?;
+        proto::write_message_unflushed(output, &Message::Verdict { index, status })
+            .map_err(StrideError::Io)?;
+    }
+    output.flush().map_err(StrideError::Io)
+}
+
+/// The `Done` summary of a run, or why a count does not fit the wire.
+fn summarize(
+    stats: &AtpgStats,
+    cache: CacheOutcome,
+    learn_work_units: u64,
+) -> Result<Summary, String> {
+    Ok(Summary {
+        total_faults: wire_u32("total_faults", stats.total_faults)?,
+        detected: wire_u32("detected", stats.detected)?,
+        untestable: wire_u32("untestable", stats.untestable)?,
+        aborted: wire_u32("aborted", stats.aborted)?,
+        backtracks: stats.backtracks as u64,
+        decisions: stats.decisions as u64,
+        sequences: wire_u32("sequences", stats.sequences)?,
+        test_vectors: stats.test_vectors as u64,
+        budget_spent: stats.budget_spent,
+        cache,
+        learn_work_units,
+    })
+}
+
+/// `n` as the `u32` wire field `field`; a count that does not fit is an
+/// error for the client, never a truncated number.
+fn wire_u32(field: &str, n: usize) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("{field} {n} does not fit its u32 wire field"))
+}
+
+/// Answers a request whose counts do not fit the wire with an error frame.
+fn reply_overflow(output: &mut impl Write, name: &str, text: String) -> std::io::Result<()> {
+    eprintln!("sla-serve: answer to '{name}' failed: {text}");
+    proto::write_message(output, &Message::Error(text))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counts_beyond_u32_are_errors_not_truncations() {
+        let stats = AtpgStats {
+            total_faults: 1 << 32,
+            ..AtpgStats::default()
+        };
+        let err = summarize(&stats, CacheOutcome::Uncached, 0).expect_err("2^32 does not fit");
+        assert!(err.contains("total_faults 4294967296"), "{err}");
+
+        // The last index that fits is sent; the next one stops the stride
+        // instead of wrapping to 0.
+        let mut out = Vec::new();
+        let result = write_stride(&mut out, u32::MAX as usize, &[FaultStatus::Detected; 2]);
+        assert!(matches!(result, Err(StrideError::Overflow(_))));
+        let mut sent = out.as_slice();
+        let first = proto::read_message(&mut sent).expect("one verdict");
+        assert_eq!(
+            first,
+            Some(Message::Verdict {
+                index: u32::MAX,
+                status: FaultStatus::Detected
+            })
+        );
+        assert!(sent.is_empty(), "nothing after the last index that fits");
+    }
 }

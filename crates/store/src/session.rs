@@ -12,9 +12,10 @@ use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::{Netlist, NetlistError};
 use sla_sim::Fault;
 
-/// How many faults each streaming stride merges before verdicts are
-/// emitted. Strides only batch the emission; they cannot change the
-/// verdicts, which are a pure function of the merged fault prefix.
+/// How many faults each streaming stride merges before its verdicts are
+/// emitted, and so the most verdicts one sink call carries. Strides only
+/// batch the emission; they cannot change the verdicts, which are a pure
+/// function of the merged fault prefix.
 const STREAM_STRIDE: usize = 32;
 
 /// Where a [`Session::learn_cached`] result came from.
@@ -163,46 +164,138 @@ impl<'a> Session<'a> {
         Ok(engine.run_with_threads(faults, self.threads))
     }
 
-    /// Like [`Session::atpg`], but emits `(fault index, verdict)` pairs in
-    /// strict fault order as prefixes of the run are merged, before the
-    /// final [`AtpgRun`] is returned. Verdicts are identical to the batch
-    /// run at every thread count; only the emission is incremental.
+    /// Like [`Session::atpg`], but emits verdicts in strict fault order as
+    /// prefixes of the run are merged, before the final [`AtpgRun`] is
+    /// returned.
+    ///
+    /// `sink(first, verdicts)` receives one merged stride per call: the
+    /// verdicts of faults `first..first + verdicts.len()`, at most
+    /// `STREAM_STRIDE` (32) of them. The calls are contiguous and cover
+    /// every fault exactly once, so a caller can send a stride as one
+    /// batch. When the work budget runs out, the tail that
+    /// [`AtpgEngine::finish`] classifies comes last, cut into strides the
+    /// same way. Verdicts are identical to the batch run at every thread
+    /// count; only the emission is incremental.
     pub fn atpg_streaming(
         &self,
         options: &AtpgOptions,
         faults: &[Fault],
-        mut sink: impl FnMut(usize, FaultStatus),
+        mut sink: impl FnMut(usize, &[FaultStatus]),
     ) -> Result<AtpgRun, NetlistError> {
         let start = sla_netlist::wallclock::now();
         let engine = AtpgEngine::new(self.netlist, *options)?.with_learned(self.learned.clone());
         let mut progress = engine.start(faults);
+        let mut stride = Vec::with_capacity(STREAM_STRIDE);
         let mut emitted = 0;
-        while progress.next_fault() < faults.len() {
-            let before = progress.next_fault();
+        while emitted < faults.len() {
             engine.advance(
                 faults,
                 self.threads,
                 &mut progress,
-                Some(before + STREAM_STRIDE),
+                Some(emitted + STREAM_STRIDE),
             );
-            let after = progress.next_fault();
-            for i in emitted..after {
-                sink(
-                    i,
-                    progress.status()[i].expect("merged prefix is classified"),
-                );
-            }
-            emitted = after;
-            if after == before {
+            let merged = progress.next_fault();
+            if merged == emitted {
                 // The work budget ran out; `finish` classifies the tail.
                 break;
             }
+            stride.clear();
+            stride.extend(
+                progress.status()[emitted..merged]
+                    .iter()
+                    .map(|s| s.expect("merged prefix is classified")),
+            );
+            sink(emitted, &stride);
+            emitted = merged;
         }
         let mut run = engine.finish(progress);
         run.stats.cpu = start.elapsed();
-        for (i, status) in run.status.iter().enumerate().skip(emitted) {
-            sink(i, *status);
+        for (k, tail) in run.status[emitted..].chunks(STREAM_STRIDE).enumerate() {
+            sink(emitted + k * STREAM_STRIDE, tail);
         }
         Ok(run)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sla_atpg::{AbortReason, LearningMode};
+    use sla_circuits::{table5_circuit, Table5Config};
+    use sla_core::WorkBudget;
+    use sla_sim::collapsed_fault_list;
+
+    /// The sink calls of one streaming run, as `(first, verdicts)`.
+    type Calls = Vec<(usize, Vec<FaultStatus>)>;
+
+    /// Streams a run and checks the sink contract against the batch run:
+    /// calls are contiguous and in order, each holds one to
+    /// `STREAM_STRIDE` verdicts, together they cover every fault exactly
+    /// once, and their verdicts are [`Session::atpg`]'s.
+    fn stream_checked(session: &Session<'_>, options: &AtpgOptions, faults: &[Fault]) -> Calls {
+        let mut calls = Calls::new();
+        let streamed = session
+            .atpg_streaming(options, faults, |first, verdicts| {
+                calls.push((first, verdicts.to_vec()))
+            })
+            .expect("streaming ATPG");
+        let batch = session.atpg(options, faults).expect("batch ATPG");
+        let mut next = 0;
+        for (first, verdicts) in &calls {
+            assert_eq!(*first, next, "calls are contiguous and in fault order");
+            assert!(
+                (1..=STREAM_STRIDE).contains(&verdicts.len()),
+                "a call holds 1..={STREAM_STRIDE} verdicts, got {}",
+                verdicts.len()
+            );
+            next += verdicts.len();
+        }
+        assert_eq!(next, faults.len(), "calls cover every fault exactly once");
+        let verdicts: Vec<FaultStatus> = calls.iter().flat_map(|(_, v)| v.clone()).collect();
+        assert_eq!(
+            verdicts, batch.status,
+            "streamed verdicts are the batch run's"
+        );
+        assert_eq!(streamed.status, batch.status);
+        calls
+    }
+
+    #[test]
+    fn sink_receives_contiguous_strides_with_batch_verdicts() {
+        let netlist = table5_circuit(&Table5Config::default());
+        let faults = collapsed_fault_list(&netlist);
+        assert!(
+            faults.len() > 2 * STREAM_STRIDE,
+            "the run spans several strides"
+        );
+        let full = AtpgOptions::builder()
+            .backtrack_limit(100)
+            .learning(LearningMode::ForbiddenValue)
+            .build();
+        for threads in [1, 4] {
+            let mut session = Session::open(&netlist).with_threads(threads);
+            session
+                .learn(&LearnOptions::builder().cross_frame(true).build())
+                .expect("learning");
+            stream_checked(&session, &full, &faults);
+
+            // A quarter of the full run's work: the run stops early, and
+            // the tail that `finish` charges to the budget arrives last.
+            let spent = session
+                .atpg(&full, &faults)
+                .expect("ATPG")
+                .stats
+                .budget_spent;
+            let limited = full
+                .to_builder()
+                .budget(WorkBudget::units(spent / 4))
+                .build();
+            let calls = stream_checked(&session, &limited, &faults);
+            let (_, last) = calls.last().expect("at least one call");
+            assert!(
+                last.contains(&FaultStatus::Aborted(AbortReason::Budget)),
+                "the budget-exhausted tail comes in the last call (threads {threads})"
+            );
+        }
     }
 }
