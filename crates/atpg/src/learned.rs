@@ -97,6 +97,37 @@ impl LearnedData {
     pub fn is_empty(&self) -> bool {
         self.implications.is_empty() && self.tied.is_empty() && self.cross_frame.is_empty()
     }
+
+    /// Checks that every node id in the implications, cross-frame relations
+    /// and ties belongs to a netlist of `num_nodes` nodes.
+    ///
+    /// Learned data read back from disk must pass this before a search
+    /// uses it, since the search indexes per-node arrays with these ids. A
+    /// store entry or snapshot is matched to its netlist only by a 64-bit
+    /// structural hash, which a tampered file or a hash collision defeats.
+    ///
+    /// # Errors
+    ///
+    /// The first node id, in that order, that is not below `num_nodes`.
+    pub fn check_nodes(&self, num_nodes: usize) -> Result<(), NodeId> {
+        let relations = self
+            .implications
+            .iter()
+            .flat_map(|(imp, _)| [imp.antecedent.node, imp.consequent.node]);
+        let cross = self
+            .cross_frame
+            .iter()
+            .flat_map(|c| [c.antecedent.node, c.consequent.node]);
+        let tied = self.tied.iter().map(|&(node, _)| node);
+        match relations
+            .chain(cross)
+            .chain(tied)
+            .find(|node| node.index() >= num_nodes)
+        {
+            Some(node) => Err(node),
+            None => Ok(()),
+        }
+    }
 }
 
 impl From<&LearnResult> for LearnedData {
@@ -201,10 +232,13 @@ impl LiteralAdjacency {
                             code(ci.consequent.node, ci.consequent.value),
                             ci.offset,
                         ),
+                        // `i32::MIN` has no negation. Saturating keeps that
+                        // relation, which no window can hold, out of every
+                        // window instead of overflowing.
                         (
                             code(ci.consequent.node, !ci.consequent.value),
                             code(ci.antecedent.node, !ci.antecedent.value),
-                            -ci.offset,
+                            ci.offset.saturating_neg(),
                         ),
                     ]
                 })
@@ -1083,6 +1117,51 @@ mod tests {
         let layer = ImplicationLayer::build(&adj, LearningMode::ForbiddenValue, &good);
         assert!(!layer.conflict);
         assert!(layer.is_empty());
+    }
+
+    #[test]
+    fn extreme_cross_offsets_never_fire_and_never_overflow() {
+        let (n, a, c) = shift3();
+        for offset in [i32::MIN, i32::MAX] {
+            let cross = vec![cross_rel(a, true, c, true, offset)];
+            let adj =
+                LiteralAdjacency::build_with_cross(&ImplicationDb::new(), &cross, n.num_nodes());
+            let mut good = vec![vec![Logic3::X; n.num_nodes()]; 4];
+            good[1][a.index()] = Logic3::One;
+            good[2][c.index()] = Logic3::Zero;
+            let layer = ImplicationLayer::build(&adj, LearningMode::ForbiddenValue, &good);
+            assert!(!layer.conflict && layer.is_empty(), "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn check_nodes_finds_the_first_out_of_range_id() {
+        let (n, a, c) = shift3();
+        let nodes = n.num_nodes();
+        let far = NodeId(1_000_000);
+        let mut db = ImplicationDb::new();
+        db.add(
+            Implication::new(Literal::new(a, true), Literal::new(c, true)),
+            false,
+        );
+        let good = LearnedData::from_parts(db.clone(), vec![(c, true)])
+            .with_cross_frame(vec![cross_rel(a, true, c, false, 1)]);
+        assert_eq!(good.check_nodes(nodes), Ok(()));
+        assert_eq!(LearnedData::new().check_nodes(0), Ok(()));
+
+        let mut bad_db = db.clone();
+        bad_db.add(
+            Implication::new(Literal::new(a, true), Literal::new(far, false)),
+            false,
+        );
+        let bad_implication = LearnedData::from_parts(bad_db, Vec::new());
+        assert_eq!(bad_implication.check_nodes(nodes), Err(far));
+        let bad_cross = LearnedData::from_parts(db.clone(), Vec::new())
+            .with_cross_frame(vec![cross_rel(far, true, c, true, 1)]);
+        assert_eq!(bad_cross.check_nodes(nodes), Err(far));
+        let bad_tie = LearnedData::from_parts(db, vec![(NodeId(nodes as u32), false)]);
+        assert_eq!(bad_tie.check_nodes(nodes), Err(NodeId(nodes as u32)));
+        assert_eq!(bad_tie.check_nodes(nodes + 1), Ok(()));
     }
 
     #[test]

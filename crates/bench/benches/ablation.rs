@@ -1,6 +1,7 @@
-//! Criterion ablation benches for the design choices called out in DESIGN.md:
-//! the frame limit of the forward simulation, the multiple-node phase and the
-//! gate-equivalence assistance.
+//! Criterion ablation benches for three learner design choices: the frame
+//! limit of the forward simulation, the multiple-node phase and the
+//! gate-equivalence assistance. They run on substitute circuits of the
+//! paper's profiles (see the `sla_circuits` crate docs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sla_circuits::{build_profile, profile_by_name};

@@ -4,10 +4,13 @@
 //! ingests each through the full text front-end (`write_bench` → `parse_bench`
 //! → `levelize`) and checks that per-gate ingest time stays flat (linear-time
 //! ingest — a reallocation storm or quadratic name lookup shows up as the
-//! largest size paying a multiple per gate). On the ≥1M-gate circuit it then
-//! runs budget-limited sequential learning and budget-limited ATPG end to
-//! end, and finally asserts a peak-RSS sanity bound read from
-//! `/proc/self/status` (`VmHWM`). Any violation exits non-zero.
+//! largest size paying a multiple per gate). After each timed ingest it
+//! checks that the parsed netlist equals the generated one, structural hash
+//! included, which pins the parser's output up to 1M gates. On the ≥1M-gate
+//! circuit it then runs budget-limited sequential learning and
+//! budget-limited ATPG end to end, and finally asserts a peak-RSS sanity
+//! bound read from `/proc/self/status` (`VmHWM`). Any violation exits
+//! non-zero.
 //!
 //! Wall-clock is read only through `sla_netlist::wallclock` (stats-only by
 //! construction); the linearity check compares elapsed times of this one
@@ -72,6 +75,15 @@ fn main() -> ExitCode {
             }
         };
         let ingest = t_ingest.elapsed();
+
+        // Outside the timed region: the parser must rebuild exactly the
+        // generated netlist — same arena, names and clocks, same hash.
+        if parsed != generated || parsed.structural_hash() != generated.structural_hash() {
+            eprintln!(
+                "bigsmoke: the parsed netlist differs from the generated one at {gates} gates"
+            );
+            return ExitCode::FAILURE;
+        }
 
         let ns = ingest.as_nanos() as f64 / parsed.num_gates() as f64;
         per_gate_ns.push(ns);

@@ -13,8 +13,9 @@
 //! | `table5` | ATPG with and without learning, two backtrack limits (Table 5) |
 //!
 //! Absolute numbers differ from the paper because the circuits are generated
-//! substitutes (see `DESIGN.md` §3); the shapes — learning cost scaling, who
-//! wins and by roughly how much — are what the harness reproduces.
+//! substitutes (see the `sla_circuits` crate docs); the shapes — learning
+//! cost scaling, who wins and by roughly how much — are what the harness
+//! reproduces.
 
 use std::time::Duration;
 

@@ -2,7 +2,7 @@
 //!
 //! The figures are only partially specified in the paper text, so these
 //! circuits are *reconstructions that exhibit the same phenomena* rather than
-//! gate-for-gate copies (see DESIGN.md §3):
+//! gate-for-gate copies (see the [crate docs](crate) on substitutes):
 //!
 //! * a combinational tie learned from a single stem (`G3` in the paper),
 //! * invalid-state relations between flip-flops learned by single-node

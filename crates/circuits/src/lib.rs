@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates on ISCAS-89/93 netlists, four retimed circuits and
 //! three proprietary industrial designs, none of which can be redistributed
-//! here. This crate provides the substitution documented in `DESIGN.md`:
+//! here. This crate provides substitutes for them, and these docs are where
+//! the substitution is documented:
 //!
 //! * [`figures`] — reconstructions of the paper's Figure 1 / Figure 2 running
 //!   examples that exhibit every learning phenomenon the text walks through,

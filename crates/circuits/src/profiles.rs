@@ -1,10 +1,11 @@
 //! Circuit profiles mirroring the rows of the paper's experiment tables.
 //!
 //! Each profile records the flip-flop and gate count of the original benchmark
-//! (Table 3 of the paper) and which generator class substitutes it (see
-//! DESIGN.md §3). [`build_profile`] instantiates the profile at a given scale:
-//! scale 1.0 matches the original size, smaller scales keep the experiment
-//! harness fast while preserving the relative ordering of circuit sizes.
+//! (Table 3 of the paper) and which generator class substitutes it (see the
+//! [crate docs](crate)). [`build_profile`] instantiates the profile at a given
+//! scale: scale 1.0 matches the original size, smaller scales keep the
+//! experiment harness fast while preserving the relative ordering of circuit
+//! sizes.
 
 use crate::industrial::{industrial_circuit, IndustrialConfig};
 use crate::retimed::{retimed_circuit, RetimedConfig};

@@ -18,7 +18,7 @@
 
 use crate::error::NetlistError;
 use crate::gate::{GateType, NodeKind};
-use crate::netlist::{levelize_arena, Netlist, NodeId, NONE};
+use crate::netlist::{fanout_csr, levelize_arena, Netlist, NodeId, NONE};
 use crate::Result;
 
 /// Node ids whose function may have changed after an ECO edit: the edited
@@ -191,23 +191,7 @@ impl Netlist {
 
     /// Rebuilds the fanout CSR and levelization after a structural edit.
     fn refresh(&mut self) {
-        let n = self.kinds.len();
-        let mut fanout_off = vec![0u32; n + 1];
-        for e in &self.fanin_edges {
-            fanout_off[e.index() + 1] += 1;
-        }
-        for i in 0..n {
-            fanout_off[i + 1] += fanout_off[i];
-        }
-        let mut cursor: Vec<u32> = fanout_off[..n].to_vec();
-        let mut fanout_edges = vec![NodeId(0); self.fanin_edges.len()];
-        for i in 0..n {
-            let (s, e) = (self.fanin_off[i] as usize, self.fanin_off[i + 1] as usize);
-            for &f in &self.fanin_edges[s..e] {
-                fanout_edges[cursor[f.index()] as usize] = NodeId(i as u32);
-                cursor[f.index()] += 1;
-            }
-        }
+        let (fanout_off, fanout_edges) = fanout_csr(&self.fanin_off, &self.fanin_edges);
         self.fanout_off = fanout_off;
         self.fanout_edges = fanout_edges;
         let (level, eval_order, max_level, acyclic) = levelize_arena(

@@ -96,20 +96,25 @@ impl GateType {
     }
 
     /// Parses a `.bench` gate keyword (case-insensitive). `BUFF` is accepted as
-    /// an alias for `BUF`.
+    /// an alias for `BUF`. Allocates nothing: the keyword is upper-cased into
+    /// a stack buffer as long as the longest one.
     pub fn from_bench_name(s: &str) -> Option<GateType> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "AND" => GateType::And,
-            "NAND" => GateType::Nand,
-            "OR" => GateType::Or,
-            "NOR" => GateType::Nor,
-            "XOR" => GateType::Xor,
-            "XNOR" => GateType::Xnor,
-            "NOT" | "INV" => GateType::Not,
-            "BUF" | "BUFF" => GateType::Buf,
-            "CONST0" | "TIE0" => GateType::Const0,
-            "CONST1" | "TIE1" => GateType::Const1,
+        let mut buf = [0u8; 6];
+        let up = buf.get_mut(..s.len())?;
+        for (u, c) in up.iter_mut().zip(s.bytes()) {
+            *u = c.to_ascii_uppercase();
+        }
+        Some(match &*up {
+            b"AND" => GateType::And,
+            b"NAND" => GateType::Nand,
+            b"OR" => GateType::Or,
+            b"NOR" => GateType::Nor,
+            b"XOR" => GateType::Xor,
+            b"XNOR" => GateType::Xnor,
+            b"NOT" | b"INV" => GateType::Not,
+            b"BUF" | b"BUFF" => GateType::Buf,
+            b"CONST0" | b"TIE0" => GateType::Const0,
+            b"CONST1" | b"TIE1" => GateType::Const1,
             _ => return None,
         })
     }
@@ -211,7 +216,10 @@ mod tests {
             assert_eq!(GateType::from_bench_name(g.bench_name()), Some(g));
         }
         assert_eq!(GateType::from_bench_name("buff"), Some(GateType::Buf));
+        assert_eq!(GateType::from_bench_name("cOnSt1"), Some(GateType::Const1));
         assert_eq!(GateType::from_bench_name("banana"), None);
+        assert_eq!(GateType::from_bench_name("CONST01"), None);
+        assert_eq!(GateType::from_bench_name(""), None);
     }
 
     #[test]

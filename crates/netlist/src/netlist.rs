@@ -180,7 +180,7 @@ impl NameTable {
     /// Interns `name`, returning its (new or existing) symbol.
     pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if (self.spans.len() + 1) * 2 > self.table.len() {
-            self.grow();
+            self.rehash((self.table.len() * 2).max(16));
         }
         let mask = self.table.len() - 1;
         let mut i = Self::hash_name(name) as usize & mask;
@@ -203,8 +203,8 @@ impl NameTable {
         sym
     }
 
-    fn grow(&mut self) {
-        let cap = (self.table.len() * 2).max(16);
+    /// Re-points the whole index at a table of `cap` slots.
+    fn rehash(&mut self, cap: usize) {
         let mask = cap - 1;
         let mut table = vec![0u32; cap];
         for sym in 0..self.spans.len() as u32 {
@@ -221,23 +221,9 @@ impl NameTable {
     fn reserve(&mut self, names: usize, bytes: usize) {
         self.buf.reserve(bytes);
         self.spans.reserve(names);
-        let want = (names + 1) * 2;
-        if want > self.table.len() {
-            let cap = want.next_power_of_two().max(16);
-            if cap > self.table.len() {
-                let spans = std::mem::take(&mut self.spans);
-                // Re-point the whole index at the larger capacity.
-                self.table = vec![0u32; cap];
-                self.spans = spans;
-                let mask = cap - 1;
-                for sym in 0..self.spans.len() as u32 {
-                    let mut i = Self::hash_name(self.get(sym)) as usize & mask;
-                    while self.table[i] != 0 {
-                        i = (i + 1) & mask;
-                    }
-                    self.table[i] = sym + 1;
-                }
-            }
+        let cap = ((names + 1) * 2).next_power_of_two().max(16);
+        if cap > self.table.len() {
+            self.rehash(cap);
         }
     }
 }
@@ -529,45 +515,67 @@ impl Netlist {
     }
 
     /// Structural validity check: every fanin id is in range, sequential
-    /// elements have exactly one data fanin, and gate arities are legal.
+    /// elements have exactly one data fanin, gate arities are legal, and the
+    /// fanout table is exactly the transpose of the fanin table, in
+    /// `(driver, pin)` order. Linear in nodes + edges.
+    ///
+    /// The transpose check walks the stored tables themselves, not the
+    /// counting fill that [`NetlistBuilder::build`] uses to make them, so it
+    /// also catches a fault in that fill.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Invalid`] or [`NetlistError::BadArity`] when a
     /// check fails.
     pub fn validate(&self) -> Result<()> {
-        for (id, n) in self.iter() {
-            for &f in n.fanins {
-                if f.index() >= self.kinds.len() {
-                    return Err(NetlistError::Invalid(format!(
-                        "node `{}` has out-of-range fanin {}",
-                        n.name, f
-                    )));
-                }
+        let n = self.kinds.len();
+        let off = &self.fanout_off;
+        if off.len() != n + 1
+            || off.first() != Some(&0)
+            || off.last().map(|&e| e as usize) != Some(self.fanout_edges.len())
+        {
+            return Err(NetlistError::Invalid(
+                "fanout offsets do not span the fanout table".to_string(),
+            ));
+        }
+        // Each driver's next unread fanout slot: walking every node's fanins
+        // in pin order, that slot must name the node.
+        let mut cursor = off[..n].to_vec();
+        // Names without `node`, whose fanout slice a malformed table breaks.
+        let name_of = |id: NodeId| self.names.get(self.node_sym[id.index()]);
+        for (i, kind) in self.kinds.iter().enumerate() {
+            let id = NodeId(i as u32);
+            let fanins = self.fanins(id);
+            let name = || name_of(id);
+            if let Some(f) = fanins.iter().find(|f| f.index() >= n) {
+                return Err(NetlistError::Invalid(format!(
+                    "node `{}` has out-of-range fanin {f}",
+                    name()
+                )));
             }
-            match &n.kind {
+            match kind {
                 NodeKind::Input => {
-                    if !n.fanins.is_empty() {
+                    if !fanins.is_empty() {
                         return Err(NetlistError::Invalid(format!(
                             "input `{}` has fanins",
-                            n.name
+                            name()
                         )));
                     }
                 }
                 NodeKind::Gate(g) => {
-                    if !g.arity_ok(n.fanins.len()) {
+                    if !g.arity_ok(fanins.len()) {
                         return Err(NetlistError::BadArity {
-                            name: n.name.to_string(),
+                            name: name().to_string(),
                             gate: g.to_string(),
-                            got: n.fanins.len(),
+                            got: fanins.len(),
                         });
                     }
                 }
                 NodeKind::Seq(info) => {
-                    if n.fanins.len() != 1 {
+                    if fanins.len() != 1 {
                         return Err(NetlistError::Invalid(format!(
                             "sequential element `{}` must have exactly one data fanin",
-                            n.name
+                            name()
                         )));
                     }
                     if info.clock.index() >= self.clocks.len() {
@@ -575,16 +583,25 @@ impl Netlist {
                     }
                 }
             }
-            // Fanout table consistency.
-            for &f in n.fanouts {
-                if !self.fanins(f).contains(&id) {
+            for &driver in fanins {
+                let d = driver.index();
+                let slot = cursor[d];
+                if slot >= off[d + 1] || self.fanout_edges.get(slot as usize) != Some(&id) {
                     return Err(NetlistError::Invalid(format!(
-                        "fanout table of `{}` lists `{}` which does not drive it",
-                        n.name,
-                        self.node(f).name
+                        "fanout table of `{}` does not list `{}` in (driver, pin) order",
+                        name_of(driver),
+                        name()
                     )));
                 }
+                cursor[d] = slot + 1;
             }
+        }
+        // Every slot was read: no driver lists a node its fanins lack.
+        if let Some(d) = (0..n).find(|&d| cursor[d] != off[d + 1]) {
+            return Err(NetlistError::Invalid(format!(
+                "fanout table of `{}` lists nodes it does not drive",
+                name_of(NodeId(d as u32))
+            )));
         }
         Ok(())
     }
@@ -675,6 +692,12 @@ impl NetlistBuilder {
         if self.def[sym as usize] != NONE {
             return Err(NetlistError::DuplicateNode(name.to_string()));
         }
+        self.define(sym, kind, fanins);
+        Ok(())
+    }
+
+    /// Appends the node named by the undefined symbol `sym`.
+    fn define(&mut self, sym: u32, kind: NodeKind, fanins: &[&str]) {
         self.def[sym as usize] = self.kinds.len() as u32;
         self.kinds.push(kind);
         self.node_sym.push(sym);
@@ -683,18 +706,14 @@ impl NetlistBuilder {
             self.fanin_syms.push(fs);
         }
         self.fanin_off.push(self.fanin_syms.len() as u32);
-        Ok(())
     }
 
     /// Declares a primary input. Redeclaring an existing name is ignored so
     /// that parsers can be lenient about repeated `INPUT` lines.
     pub fn input(&mut self, name: &str) {
-        let defined = self
-            .names
-            .lookup(name)
-            .is_some_and(|s| self.def[s as usize] != NONE);
-        if !defined {
-            let _ = self.insert(name, NodeKind::Input, &[]);
+        let sym = self.sym(name);
+        if self.def[sym as usize] == NONE {
+            self.define(sym, NodeKind::Input, &[]);
         }
     }
 
@@ -734,6 +753,15 @@ impl NetlistBuilder {
         self.insert(name, NodeKind::Seq(info), &[data])
     }
 
+    /// The metadata of the sequential element with node index `node`, for
+    /// settings (`#pragma` lines) that may follow the element in the text.
+    pub(crate) fn seq_info_mut(&mut self, node: usize) -> Option<&mut SeqInfo> {
+        match self.kinds.get_mut(node)? {
+            NodeKind::Seq(info) => Some(info),
+            _ => None,
+        }
+    }
+
     /// Declares (or finds) a clock by name and returns its id.
     pub fn clock(&mut self, name: &str) -> ClockId {
         if let Some(pos) = self.clocks.iter().position(|c| c == name) {
@@ -769,8 +797,9 @@ impl NetlistBuilder {
     /// Resolves all name references and produces the immutable [`Netlist`].
     ///
     /// Runs in time linear in nodes + edges: fanin symbols resolve through
-    /// the definition table, the fanout CSR is a two-pass counting fill, and
-    /// the levelization (stored in the arena) is one Kahn sweep.
+    /// the definition table, the fanout CSR is a two-pass counting fill, the
+    /// levelization (stored in the arena) is one Kahn sweep, and
+    /// [`Netlist::validate`] is linear too.
     ///
     /// # Errors
     ///
@@ -790,25 +819,7 @@ impl NetlistBuilder {
             fanin_edges.push(NodeId(d));
         }
 
-        // Fanout CSR: count, prefix-sum, fill. Filling in (driver-node,
-        // pin) order reproduces the insertion order of the pre-arena
-        // per-node `Vec` push loop exactly.
-        let mut fanout_off = vec![0u32; n + 1];
-        for e in &fanin_edges {
-            fanout_off[e.index() + 1] += 1;
-        }
-        for i in 0..n {
-            fanout_off[i + 1] += fanout_off[i];
-        }
-        let mut cursor: Vec<u32> = fanout_off[..n].to_vec();
-        let mut fanout_edges = vec![NodeId(0); fanin_edges.len()];
-        for i in 0..n {
-            let (s, e) = (self.fanin_off[i] as usize, self.fanin_off[i + 1] as usize);
-            for &f in &fanin_edges[s..e] {
-                fanout_edges[cursor[f.index()] as usize] = NodeId(i as u32);
-                cursor[f.index()] += 1;
-            }
-        }
+        let (fanout_off, fanout_edges) = fanout_csr(&self.fanin_off, &fanin_edges);
 
         let mut inputs = Vec::new();
         let mut seq_elems = Vec::new();
@@ -868,6 +879,30 @@ impl NetlistBuilder {
         netlist.validate()?;
         Ok(netlist)
     }
+}
+
+/// The fanout CSR of a fanin CSR: its transpose, a counting fill (count,
+/// prefix-sum, fill) in `(driver, pin)` order, which reproduces the
+/// insertion order of the pre-arena per-node `Vec` push loop exactly. Every
+/// fanin id must be below `fanin_off.len() - 1`.
+pub(crate) fn fanout_csr(fanin_off: &[u32], fanin_edges: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
+    let n = fanin_off.len() - 1;
+    let mut fanout_off = vec![0u32; n + 1];
+    for e in fanin_edges {
+        fanout_off[e.index() + 1] += 1;
+    }
+    for i in 0..n {
+        fanout_off[i + 1] += fanout_off[i];
+    }
+    let mut cursor: Vec<u32> = fanout_off[..n].to_vec();
+    let mut fanout_edges = vec![NodeId(0); fanin_edges.len()];
+    for (i, pins) in fanin_off.windows(2).enumerate() {
+        for &f in &fanin_edges[pins[0] as usize..pins[1] as usize] {
+            fanout_edges[cursor[f.index()] as usize] = NodeId(i as u32);
+            cursor[f.index()] += 1;
+        }
+    }
+    (fanout_off, fanout_edges)
 }
 
 /// One Kahn sweep over the CSR. Returns `(level, eval_order, max_level,
@@ -1111,6 +1146,50 @@ mod tests {
         let n = b.build().unwrap();
         assert_eq!(n.num_nodes(), 2);
         assert_eq!(n.require("g").unwrap(), NodeId(1));
+    }
+
+    #[test]
+    fn validate_checks_the_fanout_table_is_the_transpose() {
+        // `b` drives `g` twice and `h` once.
+        let mut b = NetlistBuilder::new("t");
+        b.input("b");
+        b.gate("g", GateType::And, &["b", "b"]).unwrap();
+        b.gate("h", GateType::Not, &["b"]).unwrap();
+        b.output("g").unwrap();
+        b.output("h").unwrap();
+        let n = b.build().unwrap();
+        let (bid, g, h) = (NodeId(0), NodeId(1), NodeId(2));
+        assert_eq!(n.fanouts(bid), &[g, g, h]);
+
+        // Out of (driver, pin) order, with the same multiset.
+        let mut bad = n.clone();
+        bad.fanout_edges.swap(0, 2);
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        // A fanout the fanins do not have, with the same counts.
+        let mut bad = n.clone();
+        bad.fanout_edges[2] = g;
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        // A missing fanout.
+        let mut bad = n.clone();
+        bad.fanout_edges.pop();
+        bad.fanout_off[1] -= 1;
+        bad.fanout_off[2] -= 1;
+        bad.fanout_off[3] -= 1;
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        // An extra fanout: `g` drives nothing, yet lists `h`.
+        let mut bad = n.clone();
+        bad.fanout_edges.push(h);
+        bad.fanout_off[2] += 1;
+        bad.fanout_off[3] += 1;
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        // Offsets that do not span the table, or that run backwards.
+        let mut bad = n.clone();
+        bad.fanout_edges.push(h);
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        let mut bad = n.clone();
+        bad.fanout_off[2] = 1;
+        assert!(matches!(bad.validate(), Err(NetlistError::Invalid(_))));
+        assert_eq!(n.validate(), Ok(()));
     }
 
     #[test]

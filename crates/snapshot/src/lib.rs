@@ -343,8 +343,10 @@ impl AtpgSnapshot {
     /// # Errors
     ///
     /// [`SnapshotError::NetlistMismatch`] / [`SnapshotError::FaultListMismatch`]
-    /// when the workload differs, and any structural error from rebuilding
-    /// the engine.
+    /// when the workload differs, [`SnapshotError::Corrupt`] when the
+    /// progress does not fit the fault list or the learned data names a
+    /// node the netlist does not have, and any structural error from
+    /// rebuilding the engine.
     pub fn resume<'a>(
         &self,
         netlist: &'a Netlist,
@@ -367,6 +369,9 @@ impl AtpgSnapshot {
         }
         let learned = LearnedData::from_parts(db, self.tied.clone())
             .with_cross_frame(self.cross_frame.clone());
+        learned
+            .check_nodes(netlist.num_nodes())
+            .map_err(|_| SnapshotError::Corrupt("learned node id out of range"))?;
         let engine = AtpgEngine::new(netlist, self.config)
             .map_err(SnapshotError::Netlist)?
             .with_learned(learned);

@@ -39,7 +39,7 @@ pub use session::{CacheOutcome, LearnReport, Session};
 pub use store::LearnedStore;
 
 use sla_core::LearnOptions;
-use sla_netlist::Netlist;
+use sla_netlist::{Netlist, NodeId};
 use sla_snapshot::SnapshotError;
 use std::fmt;
 use std::hash::Hasher;
@@ -125,6 +125,17 @@ pub enum StoreError {
         /// Key the entry file carries.
         found: StoreKey,
     },
+    /// An entry decoded cleanly under the right key but names a node the
+    /// netlist does not have: the file was tampered with, or two netlists
+    /// share a structural hash.
+    NodeOutOfRange {
+        /// File whose learned data was rejected.
+        path: PathBuf,
+        /// The first node id out of range.
+        node: NodeId,
+        /// Number of nodes of the netlist the entry was looked up for.
+        num_nodes: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -145,6 +156,15 @@ impl fmt::Display for StoreError {
                 "store entry {} echoes key {found}, index expected {expected}",
                 path.display()
             ),
+            StoreError::NodeOutOfRange {
+                path,
+                node,
+                num_nodes,
+            } => write!(
+                f,
+                "store entry {} names node {node}, but the netlist has {num_nodes} nodes",
+                path.display()
+            ),
         }
     }
 }
@@ -154,7 +174,7 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Codec { source, .. } => Some(source),
-            StoreError::KeyMismatch { .. } => None,
+            StoreError::KeyMismatch { .. } | StoreError::NodeOutOfRange { .. } => None,
         }
     }
 }

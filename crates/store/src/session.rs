@@ -112,20 +112,28 @@ impl<'a> Session<'a> {
 
     /// Lookup-before-learn: serves the learned database from `store` when a
     /// valid entry exists for (netlist, options), otherwise learns fresh and
-    /// writes the result back. A present-but-corrupt entry is treated as a
-    /// miss and repopulated; the typed error lands in
-    /// [`LearnReport::store_error`].
+    /// writes the result back. A present-but-corrupt entry, or one naming a
+    /// node the netlist does not have, is treated as a miss and
+    /// repopulated; the typed error lands in [`LearnReport::store_error`].
     pub fn learn_cached(
         &mut self,
         options: &LearnOptions,
         store: &mut LearnedStore,
     ) -> Result<&LearnReport, NetlistError> {
         let key = StoreKey::new(self.netlist, options);
+        let num_nodes = self.netlist.num_nodes();
         let lookup_err = match store.lookup(&key) {
-            Ok(Some(learned)) => {
-                self.learned = learned;
-                return Ok(self.install_report(CacheOutcome::Hit, 0, None));
-            }
+            Ok(Some(learned)) => match learned.check_nodes(num_nodes) {
+                Ok(()) => {
+                    self.learned = learned;
+                    return Ok(self.install_report(CacheOutcome::Hit, 0, None));
+                }
+                Err(node) => Some(StoreError::NodeOutOfRange {
+                    path: store.entry_path(&key),
+                    node,
+                    num_nodes,
+                }),
+            },
             Ok(None) => None,
             Err(e) => Some(e),
         };

@@ -127,7 +127,7 @@ impl LearnedStore {
     }
 
     /// Path of the entry file for `key`.
-    fn entry_path(&self, key: &StoreKey) -> PathBuf {
+    pub(crate) fn entry_path(&self, key: &StoreKey) -> PathBuf {
         self.dir.join(format!("{key}.slal"))
     }
 

@@ -280,3 +280,118 @@ fn corrupt_index_is_typed_and_resettable() {
         "the reset must report why: {err:?}"
     );
 }
+
+/// The 5-node netlist of the out-of-range reproductions.
+fn five_nodes() -> Netlist {
+    let mut b = sla_netlist::NetlistBuilder::new("five");
+    b.input("a");
+    b.input("b");
+    b.gate("g", sla_netlist::GateType::Nand, &["a", "b"])
+        .expect("gate");
+    b.dff("q", "g").expect("dff");
+    b.gate("o", sla_netlist::GateType::Xor, &["q", "b"])
+        .expect("gate");
+    b.output("o").expect("output");
+    b.build().expect("build")
+}
+
+/// Learned data whose one implication names node 1 000 000.
+fn out_of_range_learned(netlist: &Netlist) -> sla_atpg::LearnedData {
+    use sla_core::{Implication, ImplicationDb, Literal};
+    let a = netlist.require("a").expect("a");
+    let mut db = ImplicationDb::new();
+    db.add(
+        Implication::new(
+            Literal::new(a, true),
+            Literal::new(sla_netlist::NodeId(1_000_000), false),
+        ),
+        false,
+    );
+    sla_atpg::LearnedData::from_parts(db, Vec::new())
+}
+
+/// A checksum-valid entry under the right key that names a node the
+/// netlist does not have is a typed miss: the session relearns, reports
+/// `NodeOutOfRange`, overwrites the entry, and ATPG runs as on a cold
+/// store — at one and four worker threads.
+#[test]
+fn out_of_range_entry_is_a_typed_miss_and_relearned() {
+    let netlist = five_nodes();
+    let faults = collapsed_fault_list(&netlist);
+    for threads in [1, 4] {
+        let scratch = Scratch::new(&format!("range-{threads}"));
+        let mut store = LearnedStore::open(scratch.path(), 8).expect("open store");
+        let key = StoreKey::new(&netlist, &learn_options());
+        store
+            .insert(key, &out_of_range_learned(&netlist))
+            .expect("plant entry");
+
+        let mut session = Session::open(&netlist).with_threads(threads);
+        let report = session
+            .learn_cached(&learn_options(), &mut store)
+            .expect("fallback learning");
+        assert_eq!(report.outcome, CacheOutcome::Miss);
+        match &report.store_error {
+            Some(StoreError::NodeOutOfRange {
+                node, num_nodes, ..
+            }) => {
+                assert_eq!(*node, sla_netlist::NodeId(1_000_000));
+                assert_eq!(*num_nodes, netlist.num_nodes());
+            }
+            other => panic!("expected NodeOutOfRange, got {other:?}"),
+        }
+        let run = canonical(session.atpg(&atpg_options(), &faults).expect("ATPG"));
+
+        let mut cold = Session::open(&netlist).with_threads(threads);
+        cold.learn(&learn_options()).expect("cold learning");
+        let cold_run = canonical(cold.atpg(&atpg_options(), &faults).expect("ATPG"));
+        assert_eq!(run.status, cold_run.status);
+        assert_eq!(run.sequences, cold_run.sequences);
+
+        let mut warm = Session::open(&netlist).with_threads(threads);
+        let report = warm
+            .learn_cached(&learn_options(), &mut store)
+            .expect("repopulated lookup");
+        assert_eq!(
+            report.outcome,
+            CacheOutcome::Hit,
+            "the entry was overwritten"
+        );
+        assert!(report.store_error.is_none());
+    }
+}
+
+/// A snapshot captured with an out-of-range relation is refused at resume
+/// with a typed error, and `resume_or_fresh` finishes a fresh run instead
+/// — at one and four worker threads.
+#[test]
+fn out_of_range_snapshot_falls_back_to_a_fresh_run() {
+    let netlist = five_nodes();
+    let faults = collapsed_fault_list(&netlist);
+    let engine = sla_atpg::AtpgEngine::new(&netlist, atpg_options())
+        .expect("engine")
+        .with_learned(out_of_range_learned(&netlist));
+    let progress = engine.start(&faults);
+    let bytes = sla_snapshot::AtpgSnapshot::capture(&netlist, &engine, &faults, &progress).encode();
+    let snapshot = sla_snapshot::AtpgSnapshot::decode(&bytes).expect("checksum-valid snapshot");
+    assert_eq!(
+        snapshot.resume(&netlist, &faults).err(),
+        Some(SnapshotError::Corrupt("learned node id out of range"))
+    );
+    for threads in [1, 4] {
+        let learned = sla_atpg::LearnedData::new();
+        let (run, err) = sla_snapshot::resume_or_fresh(
+            &bytes,
+            &netlist,
+            atpg_options(),
+            &learned,
+            &faults,
+            threads,
+        );
+        assert!(matches!(err, Some(SnapshotError::Corrupt(_))), "{err:?}");
+        let fresh = sla_atpg::AtpgEngine::new(&netlist, atpg_options())
+            .expect("engine")
+            .run_with_threads(&faults, threads);
+        assert_eq!(canonical(run).status, canonical(fresh).status);
+    }
+}
