@@ -423,8 +423,9 @@ impl<'a> AtpgEngine<'a> {
         // together wastes almost nothing. This is a heuristic, not a
         // soundness argument: the strict fault-order merge below replays
         // the drop protocol regardless of how the waves were cut, so
-        // only the wasted-speculation count depends on it.
-        let cones = FaultCones::build(self.netlist, faults);
+        // only the wasted-speculation count depends on it. Waves only read
+        // faults in `next_fault..stop`, so only those get a mask.
+        let cones = FaultCones::build(self.netlist, faults, progress.next_fault..stop);
         let mut wasted = 0usize;
         sla_par::with_pool(
             threads,
@@ -694,22 +695,30 @@ impl ConeMask {
     }
 }
 
-/// Fanout-cone masks of the fault sites, deduplicated by site node (every
-/// fault on one gate — both polarities, every pin — shares the gate's cone).
+/// Fanout-cone masks of the fault sites in one index range of the fault
+/// list, deduplicated by site node (every fault on one gate — both
+/// polarities, every pin — shares the gate's cone).
 struct FaultCones {
     masks: Vec<ConeMask>,
+    /// Mask of fault `offset + k` is `masks[index[k]]`.
     index: Vec<usize>,
+    offset: usize,
     /// All-zero mask of the right width: the total-lookup fallback of
     /// [`FaultCones::mask`] and the seed of [`FaultCones::empty_mask`].
     empty: ConeMask,
 }
 
 impl FaultCones {
-    fn build(netlist: &Netlist, faults: &[Fault]) -> FaultCones {
+    /// Masks for the faults with indices in `range` (an empty set when the
+    /// range does not lie inside the list).
+    fn build(netlist: &Netlist, faults: &[Fault], range: std::ops::Range<usize>) -> FaultCones {
         let words = netlist.num_nodes().div_ceil(64);
+        let offset = range.start;
         let mut by_node: FastHashMap<u32, usize> = FastHashMap::default();
         let mut masks: Vec<ConeMask> = Vec::new();
         let index = faults
+            .get(range)
+            .unwrap_or_default()
             .iter()
             .map(|f| {
                 let start = f.site.node();
@@ -733,16 +742,19 @@ impl FaultCones {
         FaultCones {
             masks,
             index,
+            offset,
             empty: ConeMask::empty(words),
         }
     }
 
-    /// Cone mask of fault `fault`. Total: an out-of-range index (impossible
-    /// for wave-submitted indices) yields the empty mask, which is disjoint
-    /// from everything — the merge replays the drop protocol regardless.
+    /// Cone mask of fault `fault`. Total: an index outside the built range
+    /// (impossible for wave-submitted indices) yields the empty mask, which
+    /// is disjoint from everything — the merge replays the drop protocol
+    /// regardless.
     fn mask(&self, fault: usize) -> &ConeMask {
-        self.index
-            .get(fault)
+        fault
+            .checked_sub(self.offset)
+            .and_then(|k| self.index.get(k))
             .and_then(|&m| self.masks.get(m))
             .unwrap_or(&self.empty)
     }

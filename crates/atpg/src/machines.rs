@@ -2,8 +2,8 @@
 //! faulty) the test generator searches over, plus the fault-cone restricted
 //! D-frontier and detection state derived from them.
 //!
-//! One [`SearchMachines`] instance lives for the duration of one
-//! `search_window` call: a decision assigns one primary input in one frame to
+//! One [`SearchMachines`] instance lives for the whole search of one fault,
+//! across window growth: a decision assigns one primary input in one frame to
 //! *both* machines and propagates only through the affected cone
 //! ([`sla_sim::EventSim`]); a backtrack unwinds both value trails to the mark
 //! taken before the flipped decision. Fault-effect queries (D-frontier,
@@ -64,8 +64,6 @@ pub struct SearchMachines<'a> {
     /// Gates in the transitive fanout cone of the fault site, in levelized
     /// order (the only gates that can ever sit on the D-frontier).
     cone_gates: Vec<NodeId>,
-    /// Primary outputs inside the cone (the only ones that can detect).
-    cone_outputs: Vec<NodeId>,
     /// Per-node position in `cone_gates` ([`NOT_IN_CONE`] outside), so an
     /// event maps to its frontier key without a search.
     cone_rank: Vec<u32>,
@@ -97,6 +95,16 @@ pub struct SearchMachines<'a> {
 impl<'a> SearchMachines<'a> {
     /// Builds both machines for `fault` over `window` frames, reusing the
     /// caller's levelization.
+    ///
+    /// The cost follows the fault's cone, not the netlist: both machines
+    /// settle their base state by event propagation from the constant gates
+    /// and the fault site ([`EventSim::with_levels`]), the cone gates come
+    /// from one walk over the site's fanouts and are put in levelized order
+    /// by their stored evaluation positions, the event filter marks only
+    /// the cone gates, their fanins and the cone outputs, and the frontier
+    /// and detection sets are settled from the machines' binary base slots
+    /// through the same update an assignment uses. What remains per node is
+    /// zero-filled or constant-filled allocation.
     pub fn new(netlist: &'a Netlist, levels: &Levelization, window: usize, fault: Fault) -> Self {
         let good = EventSim::with_levels(netlist, levels, window, None);
         let faulty = EventSim::with_levels(netlist, levels, window, Some(fault));
@@ -104,49 +112,61 @@ impl<'a> SearchMachines<'a> {
         // Static fanout cone of the fault site. For an input-pin fault the
         // difference first appears at the faulted gate's output.
         let csr = netlist.csr();
-        let mut in_cone = vec![false; netlist.num_nodes()];
+        let num_nodes = netlist.num_nodes();
+        let mut in_cone = vec![false; num_nodes];
         let start = fault.site.node();
         in_cone[start.index()] = true;
-        let mut stack = vec![start];
-        while let Some(x) = stack.pop() {
+        let mut cone = vec![start];
+        let mut head = 0;
+        while let Some(&x) = cone.get(head) {
+            head += 1;
             for &fo in csr.fanouts(x) {
                 if !in_cone[fo.index()] {
                     in_cone[fo.index()] = true;
-                    stack.push(fo);
+                    cone.push(fo);
                 }
             }
         }
-        let cone_gates: Vec<NodeId> = levels
-            .order()
-            .iter()
-            .copied()
-            .filter(|id| in_cone[id.index()])
-            .collect();
-        let cone_outputs: Vec<NodeId> = netlist
-            .outputs()
-            .iter()
-            .copied()
-            .filter(|po| in_cone[po.index()])
-            .collect();
-        let mut cone_rank = vec![NOT_IN_CONE; netlist.num_nodes()];
+        // Levelized order: the D-frontier's visit order follows this rank.
+        // A bitset over evaluation positions sorts the cone's gates in time
+        // linear in the cone (plus one bit per gate to scan), where a
+        // comparison sort would cost more than a pass over the netlist on
+        // large cones. Inputs and sequential elements have no position.
+        let order = levels.order();
+        let mut at_pos = vec![0u64; order.len().div_ceil(64)];
+        for &id in &cone {
+            let pos = csr.eval_pos(id);
+            if pos != u32::MAX {
+                at_pos[pos as usize / 64] |= 1 << (pos % 64);
+            }
+        }
+        let mut cone_gates = Vec::new();
+        for (word_idx, &word) in at_pos.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                cone_gates.push(order[word_idx * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        let mut cone_rank = vec![NOT_IN_CONE; num_nodes];
+        let mut fx_relevant = vec![0u8; num_nodes];
         for (rank, &id) in cone_gates.iter().enumerate() {
             cone_rank[id.index()] = rank as u32;
+            fx_relevant[id.index()] = 1;
+            // A change of a fanin can move the gate on or off the frontier.
+            for &fi in csr.fanins(id) {
+                fx_relevant[fi.index()] = 1;
+            }
         }
-        let mut is_cone_output = vec![false; netlist.num_nodes()];
-        for &po in &cone_outputs {
-            is_cone_output[po.index()] = true;
+        // Primary outputs inside the cone: the only ones that can detect.
+        let mut is_cone_output = vec![false; num_nodes];
+        for &po in netlist.outputs() {
+            if in_cone[po.index()] {
+                is_cone_output[po.index()] = true;
+                fx_relevant[po.index()] = 1;
+            }
         }
-        let mut fx_relevant = vec![0u8; netlist.num_nodes()];
-        for (idx, flag) in fx_relevant.iter_mut().enumerate() {
-            let id = NodeId(idx as u32);
-            let own = cone_rank[idx] != NOT_IN_CONE || is_cone_output[idx];
-            let feeds_cone = csr
-                .fanouts(id)
-                .iter()
-                .any(|&fo| cone_rank[fo.index()] != NOT_IN_CONE && !csr.kind(fo).is_sequential());
-            *flag = u8::from(own || feeds_cone);
-        }
-        let slots = window * netlist.num_nodes();
+        let slots = window * num_nodes;
         let mut machines = SearchMachines {
             netlist,
             csr,
@@ -154,7 +174,6 @@ impl<'a> SearchMachines<'a> {
             good,
             faulty,
             cone_gates,
-            cone_outputs,
             cone_rank,
             is_cone_output,
             fx_relevant,
@@ -165,7 +184,7 @@ impl<'a> SearchMachines<'a> {
             dirty_flag: vec![false; slots],
             dirty: Vec::new(),
         };
-        machines.rebuild_fault_effects();
+        machines.settle_fault_effects();
         machines
     }
 
@@ -231,22 +250,20 @@ impl<'a> SearchMachines<'a> {
     }
 
     /// Widens both machines to `new_window` frames in place, reusing the
-    /// evaluated prefix frames (see [`EventSim::grow`]); bit-identical to
-    /// constructing fresh machines at `new_window`, without re-simulating the
+    /// settled prefix frames (see [`EventSim::grow`]); bit-identical to
+    /// constructing fresh machines at `new_window`, without re-settling the
     /// frames the previous window already filled. The machines must be at
     /// their base state ([`SearchMachines::rewind_to_base`]). The fault cone
     /// is structural and unaffected by the window; the frontier and detection
-    /// sets are rebuilt over the widened base values (the appended frames can
-    /// carry base-state fault effects).
-    pub fn grow(&mut self, levels: &Levelization, new_window: usize) {
-        self.good.grow(levels, new_window);
-        self.faulty.grow(levels, new_window);
+    /// sets keep the prefix frames' entries and take in the appended frames'
+    /// base-state fault effects from the widened machines' base events.
+    pub fn grow(&mut self, new_window: usize) {
+        self.good.grow(new_window);
+        self.faulty.grow(new_window);
         let slots = new_window * self.netlist.num_nodes();
-        self.po_d.clear();
         self.po_d.resize(slots, false);
-        self.dirty_flag.clear();
         self.dirty_flag.resize(slots, false);
-        self.rebuild_fault_effects();
+        self.settle_fault_effects();
     }
 
     /// Returns `true` when `node` in `frame` carries a fault effect (both
@@ -311,30 +328,18 @@ impl<'a> SearchMachines<'a> {
         self.d_frontier_scan_iter().collect()
     }
 
-    /// Recomputes the frontier and detection sets from scratch over the
-    /// current values (construction and window growth; both happen at the
-    /// base state, so the trail stays empty).
-    fn rebuild_fault_effects(&mut self) {
-        debug_assert!(self.fx_trail.is_empty(), "rebuild only at the base state");
-        self.frontier.clear();
-        self.detected_count = 0;
-        let num_nodes = self.netlist.num_nodes();
-        for t in 0..self.window() {
-            for (rank, &id) in self.cone_gates.iter().enumerate() {
-                if !self.is_d(t, id) && self.has_d_input(t, id) {
-                    self.frontier.push((t as u32, rank as u32));
-                }
-            }
-            for &po in &self.cone_outputs {
-                if self.is_d(t, po) {
-                    self.po_d[t * num_nodes + po.index()] = true;
-                    self.detected_count += 1;
-                }
-            }
-        }
-        // Frames ascending, ranks ascending within a frame — already the push
-        // order above; keep the invariant explicit for the incremental path.
-        debug_assert!(self.frontier.windows(2).all(|w| w[0] < w[1]));
+    /// Folds the binary base slots of both machines (their
+    /// [`EventSim::changed`] lists after construction or growth) into the
+    /// frontier and detection sets. At the base state a fault effect can sit
+    /// only where the faulty machine is binary, and the faulted pin counts
+    /// only where its good driver is binary, so these events reach every
+    /// member; slots folded in before a growth recompute to the membership
+    /// they already have. The edits belong to the base state, so the trail
+    /// is emptied again.
+    fn settle_fault_effects(&mut self) {
+        debug_assert!(self.fx_trail.is_empty(), "only at the base state");
+        self.update_fault_effects();
+        self.fx_trail.clear();
     }
 
     /// Folds the change events of the most recent assignment (both machines)
@@ -484,7 +489,9 @@ mod tests {
         let m = SearchMachines::new(&n, &levels, 1, Fault::output(g, true));
         let names: Vec<&str> = m.cone_gates().iter().map(|&id| n.node(id).name).collect();
         assert_eq!(names, vec!["g", "h"], "k is outside the fault cone");
-        assert_eq!(m.cone_outputs.len(), 1);
+        let h = n.require("h").unwrap();
+        let k = n.require("k").unwrap();
+        assert!(m.is_cone_output[h.index()] && !m.is_cone_output[k.index()]);
     }
 
     #[test]

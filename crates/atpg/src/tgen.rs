@@ -163,7 +163,7 @@ impl<'a> TestGenerator<'a> {
                     }
                     window = (window * 2).min(self.config.max_window);
                     machines.rewind_to_base();
-                    machines.grow(&self.levels, window);
+                    machines.grow(window);
                 }
             }
         }

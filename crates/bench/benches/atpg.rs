@@ -3,10 +3,12 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sla_atpg::{AtpgEngine, AtpgOptions, LearnedData, LearningMode, SearchMachines};
-use sla_circuits::{retimed_circuit, table5_circuit, RetimedConfig, Table5Config};
+use sla_circuits::{
+    retimed_circuit, scale_circuit, table5_circuit, RetimedConfig, ScaleConfig, Table5Config,
+};
 use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::levelize::levelize;
-use sla_sim::{collapsed_fault_list, FaultSimulator, Logic3, TestSequence};
+use sla_sim::{collapsed_fault_list, Fault, FaultSimulator, FaultSite, Logic3, TestSequence};
 
 fn atpg_with_and_without_learning(c: &mut Criterion) {
     let netlist = retimed_circuit(&RetimedConfig {
@@ -227,12 +229,42 @@ fn atpg_frontier(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-fault cost on a large, shallow design: a 64k-gate, 4-layer scale
+/// circuit with 8 flip-flops and 4 faults on primary-output drivers at
+/// backtrack limit 8, serially (the shape of a `perfbench` `ingest_large`
+/// request, at a quarter of its size). Each fault needs little search, so
+/// the lane is dominated by what the generator and fault dropping pay per
+/// fault, which follows the fault's cone and the targets' support rather
+/// than the netlist.
+fn atpg_search_scale_po_faults(c: &mut Criterion) {
+    let netlist = scale_circuit(&ScaleConfig {
+        flip_flops: 8,
+        ..ScaleConfig::sized("scale64k", 64 << 10, 4, 3)
+    });
+    let outputs = netlist.outputs();
+    let faults: Vec<Fault> = collapsed_fault_list(&netlist)
+        .into_iter()
+        .filter(|f| matches!(f.site, FaultSite::Output(node) if outputs.contains(&node)))
+        .take(4)
+        .collect();
+    let engine = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(8).build())
+        .expect("levelizes");
+
+    let mut group = c.benchmark_group("atpg_search");
+    group.sample_size(10);
+    group.bench_function("scale_po_faults", |b| {
+        b.iter(|| engine.run_with_threads(black_box(&faults), 1))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     atpg_with_and_without_learning,
     fault_dropping,
     atpg_search_incremental,
     atpg_thread_scaling,
-    atpg_frontier
+    atpg_frontier,
+    atpg_search_scale_po_faults
 );
 criterion_main!(benches);

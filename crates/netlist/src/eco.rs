@@ -18,7 +18,9 @@
 
 use crate::error::NetlistError;
 use crate::gate::{GateType, NodeKind};
-use crate::netlist::{fanout_csr, levelize_arena, Netlist, NodeId, NONE};
+use crate::netlist::{
+    constant_gates, eval_positions, fanout_csr, levelize_arena, Netlist, NodeId, NONE,
+};
 use crate::Result;
 
 /// Node ids whose function may have changed after an ECO edit: the edited
@@ -202,6 +204,8 @@ impl Netlist {
             &self.fanout_edges,
             self.num_gates,
         );
+        self.eval_pos = eval_positions(self.kinds.len(), &eval_order);
+        self.constants = constant_gates(&self.kinds);
         self.level = level;
         self.eval_order = eval_order;
         self.max_level = max_level;
@@ -324,6 +328,20 @@ mod tests {
         assert_eq!(n.structural_hash(), before, "edit must be rolled back");
         n.validate().unwrap();
         assert!(n.level_data().is_some());
+    }
+
+    #[test]
+    fn add_gate_refreshes_constants_and_eval_positions() {
+        let mut n = sample();
+        assert!(n.constants().is_empty());
+        let (tie, _) = n.add_gate("tie", GateType::Const1, &[]).unwrap();
+        assert_eq!(n.constants(), &[tie]);
+        let csr = n.csr();
+        let levels = crate::levelize::levelize(&n).unwrap();
+        assert!(levels.order().contains(&tie));
+        for (pos, &id) in levels.order().iter().enumerate() {
+            assert_eq!(csr.eval_pos(id) as usize, pos);
+        }
     }
 
     #[test]

@@ -90,6 +90,11 @@ pub struct NetlistCsr<'a> {
     pub fanout_edges: &'a [NodeId],
     /// Per-node logic level.
     pub level: &'a [u32],
+    /// Per-node position in the levelized evaluation order (`u32::MAX` for
+    /// primary inputs, sequential elements and gates on a combinational
+    /// cycle), so a subset of gates sorts into evaluation order without a
+    /// pass over the whole order.
+    pub eval_pos: &'a [u32],
 }
 
 impl<'a> NetlistCsr<'a> {
@@ -117,6 +122,12 @@ impl<'a> NetlistCsr<'a> {
     #[inline]
     pub fn level(&self, id: NodeId) -> u32 {
         self.level[id.index()]
+    }
+
+    /// Position of `id` in the levelized evaluation order.
+    #[inline]
+    pub fn eval_pos(&self, id: NodeId) -> u32 {
+        self.eval_pos[id.index()]
     }
 }
 
@@ -269,6 +280,10 @@ pub struct Netlist {
     pub(crate) level: Vec<u32>,
     /// Combinational gates in levelized (fanin-before-fanout) order.
     pub(crate) eval_order: Vec<NodeId>,
+    /// Node id -> position in `eval_order` (`u32::MAX` outside it).
+    pub(crate) eval_pos: Vec<u32>,
+    /// Constant gates (`CONST0`/`CONST1`) in id order.
+    pub(crate) constants: Vec<NodeId>,
     pub(crate) max_level: u32,
     pub(crate) acyclic: bool,
     pub(crate) num_gates: usize,
@@ -423,7 +438,14 @@ impl Netlist {
             fanout_off: &self.fanout_off,
             fanout_edges: &self.fanout_edges,
             level: &self.level,
+            eval_pos: &self.eval_pos,
         }
+    }
+
+    /// Constant gates (`CONST0`/`CONST1`) in id order: the only gates whose
+    /// value is binary when every primary input and the state are `X`.
+    pub fn constants(&self) -> &[NodeId] {
+        &self.constants
     }
 
     /// The precomputed levelization data: `(eval_order, level, max_level)`,
@@ -831,6 +853,7 @@ impl NetlistBuilder {
                 NodeKind::Gate(_) => num_gates += 1,
             }
         }
+        let constants = constant_gates(&self.kinds);
 
         let mut outputs = Vec::with_capacity(self.outputs.len());
         let mut po_count = vec![0u32; n];
@@ -854,6 +877,7 @@ impl NetlistBuilder {
             &fanout_edges,
             num_gates,
         );
+        let eval_pos = eval_positions(n, &eval_order);
 
         let netlist = Netlist {
             name: self.name,
@@ -867,6 +891,8 @@ impl NetlistBuilder {
             fanout_edges,
             level,
             eval_order,
+            eval_pos,
+            constants,
             max_level,
             acyclic,
             num_gates,
@@ -903,6 +929,25 @@ pub(crate) fn fanout_csr(fanin_off: &[u32], fanin_edges: &[NodeId]) -> (Vec<u32>
         }
     }
     (fanout_off, fanout_edges)
+}
+
+/// Node id -> position in `eval_order`, `u32::MAX` for nodes outside it.
+pub(crate) fn eval_positions(num_nodes: usize, eval_order: &[NodeId]) -> Vec<u32> {
+    let mut pos = vec![u32::MAX; num_nodes];
+    for (p, id) in eval_order.iter().enumerate() {
+        pos[id.index()] = p as u32;
+    }
+    pos
+}
+
+/// The constant gates (`CONST0`/`CONST1`) of a kind array, in id order.
+pub(crate) fn constant_gates(kinds: &[NodeKind]) -> Vec<NodeId> {
+    kinds
+        .iter()
+        .enumerate()
+        .filter(|(_, k)| matches!(k, NodeKind::Gate(GateType::Const0 | GateType::Const1)))
+        .map(|(i, _)| NodeId(i as u32))
+        .collect()
 }
 
 /// One Kahn sweep over the CSR. Returns `(level, eval_order, max_level,
@@ -1098,6 +1143,28 @@ mod tests {
         // netlist and check validate() passes instead.
         let n = small();
         assert!(n.validate().is_ok());
+    }
+
+    #[test]
+    fn eval_positions_and_constants_follow_the_arena() {
+        let mut b = NetlistBuilder::new("consts");
+        b.input("a");
+        b.gate("one", GateType::Const1, &[]).unwrap();
+        b.gate("g", GateType::And, &["a", "one"]).unwrap();
+        b.gate("zero", GateType::Const0, &[]).unwrap();
+        b.dff("q", "g").unwrap();
+        b.gate("h", GateType::Or, &["q", "zero"]).unwrap();
+        b.output("h").unwrap();
+        let n = b.build().unwrap();
+        let id = |name: &str| n.require(name).unwrap();
+        assert_eq!(n.constants(), &[id("one"), id("zero")]);
+        let csr = n.csr();
+        let levels = crate::levelize::levelize(&n).unwrap();
+        for (pos, &gate) in levels.order().iter().enumerate() {
+            assert_eq!(csr.eval_pos(gate) as usize, pos);
+        }
+        assert_eq!(csr.eval_pos(id("a")), u32::MAX);
+        assert_eq!(csr.eval_pos(id("q")), u32::MAX);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! layer in `sla-atpg` (the two compose on the same decide/backtrack
 //! protocol).
 //!
+//! The *base state* — the values before any assignment, with every primary
+//! input and the power-up state `X` — is built by the same event loop. Under
+//! all-`X` fanins every gate with fanins evaluates to `X`, so the only slots
+//! that can be binary are those reachable from a constant gate or from the
+//! fault site. Construction fills the window with `X`, seeds exactly those
+//! sources and drains the level buckets: the cost is proportional to the
+//! binary base slots, not to `window × nodes`.
+//!
 //! The machine optionally carries a single stuck-at [`Fault`] with the exact
 //! semantics of the ATPG test generator's faulty machine: the faulted output
 //! line is held at the stuck value in every frame, and an input-pin fault is
@@ -64,17 +72,19 @@ pub struct EventSim<'a> {
     /// Undo trail of `(slot, previous value)` pairs.
     trail: Vec<(u32, Logic3)>,
     /// Slots changed by the most recent [`EventSim::assign`] (after
-    /// construction: the slots holding a binary initial value).
+    /// construction or [`EventSim::grow`]: the binary base slots).
     changed: Vec<u32>,
+    /// The binary slots of the base state, ascending.
+    base_binary: Vec<u32>,
+    /// Slots the event loop has recomputed since construction.
+    recomputed: u64,
 }
 
 impl<'a> EventSim<'a> {
     /// Builds a machine over `window` frames, levelizing the netlist.
     ///
-    /// All primary inputs start unassigned (`X`), the initial state is `X`,
-    /// and the one-time full evaluation fills in everything that is binary
-    /// regardless of assignments (constants, stuck fault sites and their
-    /// cones). [`EventSim::changed`] holds those initially binary slots.
+    /// All primary inputs start unassigned (`X`) and the initial state is
+    /// `X`; see [`EventSim::with_levels`] for how the base state is built.
     ///
     /// # Errors
     ///
@@ -86,6 +96,13 @@ impl<'a> EventSim<'a> {
 
     /// Builds a machine reusing a precomputed [`Levelization`] (the hot path
     /// for callers that open many windows over the same netlist).
+    ///
+    /// The base state comes from event propagation out of an all-`X` fill:
+    /// the constant gates and the fault site (the stuck line, or the gate of
+    /// an input-pin fault) are seeded in every frame and the level buckets
+    /// are drained, so only slots reachable from those sources are ever
+    /// recomputed. [`EventSim::changed`] then lists every binary base slot,
+    /// ascending.
     pub fn with_levels(
         netlist: &'a Netlist,
         levels: &Levelization,
@@ -107,62 +124,64 @@ impl<'a> EventSim<'a> {
             pending: 0,
             trail: Vec::new(),
             changed: Vec::new(),
+            base_binary: Vec::new(),
+            recomputed: 0,
         };
-        sim.init(levels);
+        sim.settle_base(0);
         sim
     }
 
-    /// One-time from-scratch evaluation of the whole window (the base state
-    /// the trail never unwinds past).
-    fn init(&mut self, levels: &Levelization) {
-        self.eval_frames(levels, 0);
-        self.reset_changed_to_binary();
-    }
-
-    /// From-scratch evaluation of frames `from..window` (earlier frames must
-    /// already hold their base values — frame `from` reads its state from
-    /// frame `from - 1`).
-    fn eval_frames(&mut self, levels: &Levelization, from: usize) {
+    /// Settles the base values of frames `from..window`, which must hold
+    /// `X` while every earlier frame holds its base values.
+    ///
+    /// Seeds the constant gates and the fault site in each of those frames
+    /// and, when earlier frames exist, the sequential elements of frame
+    /// `from` (they sample the previous frame's next state); the drain
+    /// reaches every other slot that becomes binary. Afterwards
+    /// [`EventSim::changed`] is the ascending list of every binary base slot
+    /// of the window, and the trail is empty again.
+    fn settle_base(&mut self, from: usize) {
+        let fault_node = self.fault.map(|f| f.site.node());
         for frame in from..self.window {
-            let base = frame * self.num_nodes;
-            for &pi in self.netlist.inputs() {
-                self.values[base + pi.index()] = self.frame_input_value(pi);
+            for &c in self.netlist.constants() {
+                self.enqueue(frame, c);
             }
-            for s in self.netlist.sequential_elements() {
-                self.values[base + s.index()] = self.compute(frame, s);
-            }
-            for &id in levels.order() {
-                self.values[base + id.index()] = self.compute(frame, id);
+            if let Some(site) = fault_node {
+                self.enqueue(frame, site);
             }
         }
-    }
-
-    /// Sets [`EventSim::changed`] to every binary slot of the window — the
-    /// post-construction contract consumers use to seed themselves.
-    fn reset_changed_to_binary(&mut self) {
-        self.changed = (0..self.values.len())
-            .filter(|&slot| self.values[slot].is_binary())
-            .map(|slot| slot as u32)
-            .collect();
+        if from > 0 && from < self.window {
+            for s in self.netlist.sequential_elements() {
+                self.enqueue(from, s);
+            }
+        }
+        self.changed.clear();
+        self.drain(from * self.levels_per_frame);
+        self.trail.clear();
+        // Drained in (frame, level) order; every new slot lies above every
+        // old one, so sorting the new ones keeps the whole list ascending.
+        self.changed.sort_unstable();
+        self.base_binary.extend_from_slice(&self.changed);
+        self.changed.clone_from(&self.base_binary);
     }
 
     /// Widens the window to `new_window` frames **in place**, reusing the
-    /// already evaluated prefix: values propagate strictly frame-forward, so
-    /// the base values of frames `0..window` are unchanged by widening and
-    /// only the appended frames are evaluated (seeded from the last old
-    /// frame's next state). The result is bit-identical to constructing a
-    /// fresh machine at `new_window` — the savings are what the geometric
-    /// window growth of the test generator spends rebuilding otherwise.
+    /// already settled prefix: values propagate strictly frame-forward, so
+    /// the base values of frames `0..window` are unchanged by widening. The
+    /// appended frames start at `X` and settle by event propagation from the
+    /// constant gates, the fault site and the first new frame's sequential
+    /// elements (see [`EventSim::with_levels`]). The result is bit-identical
+    /// to constructing a fresh machine at `new_window`.
     ///
     /// The machine must be at its base state: every assignment undone
     /// ([`EventSim::undo_to`] to mark 0). Afterwards [`EventSim::changed`]
-    /// again lists every binary slot of the (new) whole window, exactly as
-    /// after construction.
+    /// again lists every binary slot of the (new) whole window, ascending,
+    /// exactly as after construction.
     ///
     /// # Panics
     ///
     /// Panics when assignments are still applied or the window would shrink.
-    pub fn grow(&mut self, levels: &Levelization, new_window: usize) {
+    pub fn grow(&mut self, new_window: usize) {
         assert!(
             self.trail.is_empty(),
             "grow requires the base state — undo all assignments first"
@@ -174,17 +193,7 @@ impl<'a> EventSim<'a> {
         self.queued.resize(new_window * self.num_nodes, false);
         self.buckets
             .resize(new_window * self.levels_per_frame, Vec::new());
-        self.eval_frames(levels, old_window);
-        self.reset_changed_to_binary();
-    }
-
-    /// The value an unassigned primary input presents (stuck faults hold the
-    /// line in every frame).
-    fn frame_input_value(&self, pi: NodeId) -> Logic3 {
-        match self.fault {
-            Some(f) if f.site == FaultSite::Output(pi) => Logic3::from_bool(f.stuck_at),
-            _ => Logic3::X,
-        }
+        self.settle_base(old_window);
     }
 
     /// Recomputes the value of `node` in `frame` from its current fanin
@@ -266,14 +275,20 @@ impl<'a> EventSim<'a> {
                 frame
             };
             if target_frame < self.window {
-                let slot = target_frame * self.num_nodes + fo.index();
-                if !self.queued[slot] {
-                    self.queued[slot] = true;
-                    let bucket = target_frame * self.levels_per_frame + csr.level(fo) as usize;
-                    self.buckets[bucket].push(fo.0);
-                    self.pending += 1;
-                }
+                self.enqueue(target_frame, fo);
             }
+        }
+    }
+
+    /// Queues `id` in `frame` for recomputation (once per drain).
+    #[inline]
+    fn enqueue(&mut self, frame: usize, id: NodeId) {
+        let slot = frame * self.num_nodes + id.index();
+        if !self.queued[slot] {
+            self.queued[slot] = true;
+            let bucket = frame * self.levels_per_frame + self.csr.level(id) as usize;
+            self.buckets[bucket].push(id.0);
+            self.pending += 1;
         }
     }
 
@@ -301,6 +316,7 @@ impl<'a> EventSim<'a> {
                 let id = NodeId(nidx);
                 let slot = base + id.index();
                 self.queued[slot] = false;
+                self.recomputed += 1;
                 let new = self.compute(frame, id);
                 if new == self.values[slot] {
                     continue;
@@ -360,11 +376,19 @@ impl<'a> EventSim<'a> {
     }
 
     /// Slots (`frame * num_nodes + node`) that became binary in the most
-    /// recent [`EventSim::assign`] call — or, straight after construction, the
-    /// slots binary in the initial evaluation. Stale after
-    /// [`EventSim::undo_to`].
+    /// recent [`EventSim::assign`] call — or, straight after construction or
+    /// [`EventSim::grow`], every binary base slot in ascending order. Stale
+    /// after [`EventSim::undo_to`].
     pub fn changed(&self) -> &[u32] {
         &self.changed
+    }
+
+    /// Number of slot recomputations the event loop has performed since
+    /// construction (base settling, growth and assignments; undo recomputes
+    /// nothing). A pure function of the netlist, the fault and the call
+    /// sequence — a work counter, not a timer.
+    pub fn recomputed(&self) -> u64 {
+        self.recomputed
     }
 
     /// The window as per-frame vectors (convenience for tests and the
@@ -493,7 +517,7 @@ mod tests {
             grown.assign(0, a, true);
             grown.undo_to(mark);
             for w in [2usize, 4] {
-                grown.grow(&levels, w);
+                grown.grow(w);
                 let fresh = EventSim::with_levels(&n, &levels, w, fault);
                 assert_eq!(grown.values(), fresh.values(), "window {w}");
                 assert_eq!(grown.changed(), fresh.changed(), "window {w}");
@@ -519,7 +543,27 @@ mod tests {
         let levels = levelize(&n).unwrap();
         let mut sim = EventSim::with_levels(&n, &levels, 1, None);
         sim.assign(0, n.require("a").unwrap(), true);
-        sim.grow(&levels, 2);
+        sim.grow(2);
+    }
+
+    #[test]
+    fn base_state_recomputes_only_what_its_sources_reach() {
+        let n = pipelined();
+        let sim = EventSim::new(&n, 4, None).unwrap();
+        assert_eq!(sim.recomputed(), 0, "no constant and no fault: all X");
+        assert!(sim.changed().is_empty());
+
+        // g stuck-at-1 in both frames; q captures it into frame 1, o = NOT q.
+        let g = n.require("g").unwrap();
+        let q = n.require("q").unwrap();
+        let o = n.require("o").unwrap();
+        let sim = EventSim::new(&n, 2, Some(Fault::output(g, true))).unwrap();
+        assert_eq!(sim.recomputed(), 4, "g twice, then q and o in frame 1");
+        let nn = n.num_nodes();
+        let slots = [g.index(), nn + g.index(), nn + q.index(), nn + o.index()];
+        let expected: Vec<u32> = slots.iter().map(|&s| s as u32).collect();
+        assert_eq!(sim.changed(), expected.as_slice());
+        assert_eq!(sim.value(1, o), Logic3::Zero);
     }
 
     #[test]

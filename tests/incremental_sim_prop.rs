@@ -5,12 +5,14 @@
 //! the D-frontier, and the detected flag — and the event-fed incremental
 //! implication layer must equal a from-scratch rebuild over the same values.
 
+mod common;
+
 use proptest::prelude::*;
 use seqlearn::atpg::{
     AtpgOptions, ImplicationLayer, IncrementalLayer, LearnedData, LearningMode, LiteralAdjacency,
     MachineMark, SearchMachines, TestGenerator,
 };
-use seqlearn::circuits::{synthesize, SynthConfig};
+use seqlearn::circuits::{scale_circuit, synthesize, ScaleConfig, SynthConfig};
 use seqlearn::learn::{CrossImplication, Implication, ImplicationDb, Literal};
 use seqlearn::netlist::levelize::levelize;
 use seqlearn::netlist::{FastHashMap, Netlist, NodeId, NodeKind};
@@ -129,6 +131,52 @@ fn reference_frontier(
     }
     frontier.sort_unstable();
     frontier
+}
+
+/// The ascending list of binary slots of a flat `(frame × node)` window.
+fn binary_slots(values: &[Logic3]) -> Vec<u32> {
+    (0..values.len())
+        .filter(|&slot| values[slot].is_binary())
+        .map(|slot| slot as u32)
+        .collect()
+}
+
+/// Fault classes of the base-state property: constant outputs, primary
+/// inputs, flip-flops and gate input pins.
+fn fault_class(netlist: &Netlist, fault: &Fault, class: usize) -> bool {
+    match fault.site {
+        FaultSite::Input { .. } => class == 3,
+        FaultSite::Output(node) => match netlist.node(node).kind {
+            NodeKind::Gate(_) => class == 0 && netlist.fanins(node).is_empty(),
+            NodeKind::Input => class == 1,
+            NodeKind::Seq(_) => class == 2,
+        },
+    }
+}
+
+/// Set-up of one fault's machines follows the fault's cone: on a 64k-gate
+/// design, building both machines at window 8 for a fault on a
+/// primary-output driver recomputes fewer slots than one frame has nodes.
+/// A whole-netlist evaluation of both machines recomputes
+/// `2 × 8 × num_nodes`.
+#[test]
+fn machine_set_up_recomputes_only_the_fault_cone() {
+    let netlist = scale_circuit(&ScaleConfig {
+        flip_flops: 8,
+        ..ScaleConfig::sized("setup64k", 64 << 10, 4, 5)
+    });
+    let levels = levelize(&netlist).unwrap();
+    let num_nodes = netlist.num_nodes() as u64;
+    let driver = netlist.outputs()[0];
+    for stuck_at in [false, true] {
+        let machines = SearchMachines::new(&netlist, &levels, 8, Fault::output(driver, stuck_at));
+        let recomputed = machines.good().recomputed() + machines.faulty().recomputed();
+        assert!(
+            recomputed < num_nodes,
+            "stuck-at-{}: {recomputed} slots recomputed for {num_nodes} nodes",
+            u8::from(stuck_at)
+        );
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -347,7 +395,7 @@ proptest! {
         }
         for window in [2usize, 4, 8] {
             machines.rewind_to_base();
-            machines.grow(&levels, window);
+            machines.grow(window);
             let fresh = SearchMachines::new(&netlist, &levels, window, fault);
             prop_assert_eq!(machines.good().values(), fresh.good().values());
             prop_assert_eq!(machines.faulty().values(), fresh.faulty().values());
@@ -378,6 +426,69 @@ proptest! {
             // Decisions made after the growth keep the persistent set in
             // lock-step with the reference scan.
             prop_assert_eq!(machines.d_frontier(), machines.d_frontier_scan());
+        }
+    }
+    /// The base state — every machine value before any decision — on
+    /// circuits whose constants feed gates and flip-flops, for a fault on a
+    /// constant, a primary input, a flip-flop and an input pin: machines
+    /// built at windows 1, 2, 4 and 8, and machines grown 1 → 2 → 4 → 8,
+    /// equal the from-scratch reference with no assignments, and `changed()`
+    /// is the ascending list of the binary slots.
+    #[test]
+    fn base_state_with_constants_equals_reference(
+        seed in 0u64..400,
+        gates in 4usize..24,
+        flip_flops in 1usize..5,
+    ) {
+        let netlist = common::constant_circuit(seed, gates, flip_flops);
+        let levels = levelize(&netlist).unwrap();
+        let reference_gen =
+            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
+        let undecided = FastHashMap::default();
+        let faults = full_fault_list(&netlist);
+        let mut bits = Bits(seed.wrapping_mul(0x51_7cc1_b727_220a) + 7);
+        for class in 0..4 {
+            let candidates: Vec<Fault> = faults
+                .iter()
+                .copied()
+                .filter(|f| fault_class(&netlist, f, class))
+                .collect();
+            prop_assert!(!candidates.is_empty(), "class {} has no fault", class);
+            let fault = candidates[(bits.next() % candidates.len() as u64) as usize];
+            let mut grown = SearchMachines::new(&netlist, &levels, 1, fault);
+            for window in [1usize, 2, 4, 8] {
+                if window > 1 {
+                    grown.rewind_to_base();
+                    grown.grow(window);
+                }
+                let fresh = SearchMachines::new(&netlist, &levels, window, fault);
+                let (good, faulty) = reference_gen.simulate_reference(&fault, window, &undecided);
+                for (how, machines) in [("fresh", &fresh), ("grown", &grown)] {
+                    for t in 0..window {
+                        prop_assert_eq!(
+                            machines.good().frame(t),
+                            good[t].as_slice(),
+                            "{} good machine, window {}, frame {}, fault {}",
+                            how, window, t, fault.describe(&netlist)
+                        );
+                        prop_assert_eq!(
+                            machines.faulty().frame(t),
+                            faulty[t].as_slice(),
+                            "{} faulty machine, window {}, frame {}, fault {}",
+                            how, window, t, fault.describe(&netlist)
+                        );
+                    }
+                    prop_assert_eq!(
+                        machines.good().changed(),
+                        binary_slots(machines.good().values()).as_slice()
+                    );
+                    prop_assert_eq!(
+                        machines.faulty().changed(),
+                        binary_slots(machines.faulty().values()).as_slice()
+                    );
+                    prop_assert_eq!(machines.d_frontier(), machines.d_frontier_scan());
+                }
+            }
         }
     }
 }

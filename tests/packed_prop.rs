@@ -2,14 +2,17 @@
 //! netlists and random injection batches, the packed kernel must agree exactly
 //! with the scalar three-valued reference paths.
 
+mod common;
+
 use proptest::prelude::*;
 use seqlearn::circuits::{synthesize, SynthConfig};
 use seqlearn::learn::{multi_node, single_node};
 use seqlearn::netlist::stems::fanout_stems;
 use seqlearn::netlist::{Netlist, NodeId};
 use seqlearn::sim::{
-    collapsed_fault_list, eval_gate3, eval_gate3x64, find_equivalences, EquivConfig,
-    FaultSimulator, Injection, InjectionSim, Logic3, PackedWord, SimOptions, TestSequence,
+    collapsed_fault_list, eval_gate3, eval_gate3x64, find_equivalences, full_fault_list,
+    EquivConfig, Fault, FaultSimulator, FaultSite, Injection, InjectionSim, Logic3, PackedWord,
+    SimOptions, TestSequence,
 };
 
 fn small_synth(seed: u64, flip_flops: usize, gates: usize) -> Netlist {
@@ -238,6 +241,60 @@ proptest! {
         let sequence = TestSequence::new(vectors);
         let bulk = sim.detected_faults(&faults, &sequence);
         for (fault, &detected) in faults.iter().zip(&bulk) {
+            prop_assert_eq!(
+                sim.detects(fault, &sequence),
+                detected,
+                "{} mismatches",
+                fault.describe(&netlist)
+            );
+        }
+    }
+    /// Dropping restricted to the targets' support: 1–3 target faults drawn
+    /// in turn from input pins, primary inputs, flip-flops and the whole
+    /// list, on circuits whose constants feed gates and flip-flops, under
+    /// random 0/1/X vectors — each classified exactly like the single-fault
+    /// simulation over the whole netlist.
+    #[test]
+    fn fault_dropping_on_subsets_matches_serial_detection(
+        seed in 0u64..400,
+        gates in 4usize..30,
+        flip_flops in 1usize..5,
+        frames in 1usize..6,
+        targets in 1usize..4,
+    ) {
+        let netlist = common::constant_circuit(seed, gates, flip_flops);
+        let sim = FaultSimulator::new(&netlist).unwrap();
+        let faults = full_fault_list(&netlist);
+        let on = |pred: &dyn Fn(&Fault) -> bool| -> Vec<Fault> {
+            faults.iter().copied().filter(|f| pred(f)).collect()
+        };
+        let pins = on(&|f| matches!(f.site, FaultSite::Input { .. }));
+        let inputs = on(&|f| matches!(f.site, FaultSite::Output(n) if netlist.node(n).is_input()));
+        let flip_flops = on(&|f| matches!(f.site, FaultSite::Output(n) if netlist.is_sequential(n)));
+        let pools = [&pins, &inputs, &flip_flops, &faults];
+        let mut bits = Bits(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) + 17);
+        let first_pool = (bits.next() % 4) as usize;
+        let chosen: Vec<Fault> = (0..targets)
+            .map(|k| {
+                let pool = pools[(first_pool + k) % pools.len()];
+                pool[(bits.next() % pool.len() as u64) as usize]
+            })
+            .collect();
+        let vectors: Vec<Vec<Logic3>> = (0..frames)
+            .map(|_| {
+                (0..netlist.inputs().len())
+                    .map(|_| match bits.next() % 5 {
+                        0 | 1 => Logic3::Zero,
+                        2 | 3 => Logic3::One,
+                        _ => Logic3::X,
+                    })
+                    .collect()
+            })
+            .collect();
+        let sequence = TestSequence::new(vectors);
+        let bulk = sim.detected_faults(&chosen, &sequence);
+        prop_assert_eq!(bulk.len(), chosen.len());
+        for (fault, &detected) in chosen.iter().zip(&bulk) {
             prop_assert_eq!(
                 sim.detects(fault, &sequence),
                 detected,
