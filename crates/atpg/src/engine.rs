@@ -22,15 +22,26 @@
 //!   [`sla_par::quarantine`]; a panicking search poisons only that fault
 //!   (classified [`AbortReason::Panic`], message recorded in
 //!   [`AtpgRun::panics`] in strict fault order) and the run carries on.
+//!
+//! # Speculation window
+//!
+//! Each `advance` call runs its searches on one [`sla_par::with_pool`] whose
+//! workers live for the whole call. The workers' generators borrow state
+//! built once per call (the compiled learned adjacency) or once per engine
+//! (the levelization). Exactly `threads` searches are in flight, always on
+//! the lowest unclassified faults not yet submitted, and results merge
+//! strictly in fault order. A fault the serial run searches was dropped by
+//! no earlier test, so speculating on it is never wasted; waste can only
+//! hit faults that an earlier-merged sequence drops.
 
 use crate::config::AtpgOptions;
-use crate::learned::LearnedData;
+use crate::learned::{LearnedData, LiteralAdjacency};
 use crate::tgen::{GenOutcome, GenResult, TestGenerator};
 use crate::Result;
 use sla_netlist::levelize::{levelize, Levelization};
 use sla_netlist::{FastHashMap, Netlist};
 use sla_par::JobOutcome;
-use sla_sim::{Fault, FaultSimulator, FaultSite, TestSequence};
+use sla_sim::{Fault, FaultSite, TestSequence};
 use std::time::Duration;
 
 /// Why a fault ended the run unclassified.
@@ -50,8 +61,10 @@ pub enum FaultStatus {
     /// A validated test sequence detects the fault (directly or by fault
     /// simulation of a sequence generated for another fault).
     Detected,
-    /// The fault was proven untestable (tied-gate argument or exhausted search
-    /// at the maximum window).
+    /// The fault was classified untestable: by the tied-gate argument (a
+    /// proof, paper §4), or because its search was exhausted at the maximum
+    /// window ([`GenOutcome::Untestable`]), which is not a proof — see
+    /// ROADMAP.md item 1.
     Untestable,
     /// No verdict, for the recorded reason.
     Aborted(AbortReason),
@@ -78,10 +91,14 @@ pub struct AtpgStats {
     pub sequences: usize,
     /// Total number of test vectors (frames) across all sequences.
     pub test_vectors: usize,
-    /// Speculative generations discarded because an earlier-merged sequence
-    /// dropped the fault before its merge turn (always 0 on the serial
-    /// path). A perf diagnostic: it varies with the thread count and wave
-    /// partition, never with the verdicts.
+    /// Speculative searches whose results were discarded: the fault was
+    /// classified (dropped by an earlier-merged sequence) before its merge
+    /// turn, or the search was still in flight when the run stopped and was
+    /// drained. Results already received for faults that a budget stop
+    /// leaves unclassified are not counted. Always 0 on the serial path,
+    /// and 0 without fault dropping on a run the budget does not stop. A
+    /// perf diagnostic: it varies with the thread count and the search
+    /// timing, never with the verdicts.
     pub wasted_speculations: usize,
     /// Work units charged against [`AtpgOptions::budget`] (decisions +
     /// backtracks of merged searches). Deterministic across thread counts.
@@ -314,9 +331,9 @@ impl<'a> AtpgEngine<'a> {
     /// comes from the `SLA_THREADS` environment variable (default: the
     /// machine's available parallelism). Per-fault verdicts, backtrack and
     /// decision counts, dropped-fault sets and generated sequences are
-    /// **bit-identical** for every thread count — `SLA_THREADS=1` is the
-    /// exact legacy serial path, and [`AtpgEngine::run_with_threads`] pins
-    /// the count explicitly.
+    /// **bit-identical** for every thread count — `SLA_THREADS=1` runs the
+    /// searches inline in exact serial order, and
+    /// [`AtpgEngine::run_with_threads`] pins the count explicitly.
     pub fn run(&self, faults: &[Fault]) -> AtpgRun {
         self.run_with_threads(faults, sla_par::thread_count())
     }
@@ -371,17 +388,8 @@ impl<'a> AtpgEngine<'a> {
     /// in strict fault order. Stops early — at a deterministic,
     /// thread-count-independent point — when the work budget is exhausted.
     ///
-    /// Faults are coupled only through fault dropping: the sequence generated
-    /// for fault *i* may classify later faults without search, and whether
-    /// fault *j* is searched at all depends on every earlier verdict. The
-    /// sharded path therefore generates **speculatively in waves**: the next
-    /// few unclassified faults are searched in parallel (test generation is a
-    /// pure function of one fault), and the results are merged strictly in
-    /// fault order, replaying the serial drop protocol — a speculative result
-    /// for a fault that an earlier-merged sequence drops is discarded, and
-    /// its backtracks are not counted, exactly as if it had never been
-    /// searched. The wave depth adapts to the observed drop density so
-    /// drop-heavy fault lists do not drown in wasted speculation.
+    /// [`AtpgEngine::advance_observed`] without an observer; it documents
+    /// how the searches are scheduled.
     pub fn advance(
         &self,
         faults: &[Fault],
@@ -389,141 +397,127 @@ impl<'a> AtpgEngine<'a> {
         progress: &mut RunProgress,
         stop_before: Option<usize>,
     ) {
-        let stop = stop_before.unwrap_or(faults.len()).min(faults.len());
-        let budget = self.config.budget;
-        let fault_sim = FaultSimulator::with_levels(self.netlist, self.levels.clone());
+        self.advance_observed(faults, threads, progress, stop_before, |_| {});
+    }
 
-        if threads <= 1 {
-            let generator = TestGenerator::with_levels(
-                self.netlist,
-                self.levels.clone(),
-                self.config,
-                &self.learned,
-            );
-            while progress.next_fault < stop {
-                let i = progress.next_fault;
-                if progress.verdict(i).is_some() {
-                    progress.next_fault += 1;
-                    continue;
-                }
-                if budget.exhausted(progress.budget_spent) {
-                    return;
-                }
-                let outcome = self.generate_quarantined(&generator, faults, i);
-                self.absorb(i, outcome, faults, &fault_sim, progress);
-                progress.next_fault += 1;
-            }
+    /// [`AtpgEngine::advance`] with an observer: `observe(progress)` runs
+    /// after every merge step, each time the merged prefix
+    /// ([`RunProgress::next_fault`]) has grown by one fault, while the
+    /// workers keep searching. A streaming caller emits verdicts from it.
+    ///
+    /// Faults are coupled only through fault dropping: the sequence generated
+    /// for fault *i* may classify later faults without search, and whether
+    /// fault *j* is searched at all depends on every earlier verdict. The
+    /// searches therefore run **speculatively in an in-order window**.
+    /// Exactly `threads` searches are in flight, each on the lowest-indexed
+    /// fault below the stop that is neither classified nor already
+    /// submitted (test generation is a pure function of one fault). Results
+    /// are received one at a time and merged strictly in fault order,
+    /// replaying the serial drop protocol: a result for a fault that an
+    /// earlier-merged sequence dropped is discarded, and its backtracks are
+    /// not counted, exactly as if it had never been searched. Nothing is
+    /// submitted once the budget is exhausted, and searches still in flight
+    /// when the run stops are drained; both kinds of discarded search count
+    /// in [`AtpgStats::wasted_speculations`].
+    ///
+    /// The learned adjacency is compiled once per call and every worker's
+    /// generator borrows it, together with the engine's levelization. With
+    /// `threads <= 1` each job runs inline at submission, so the same loop
+    /// is the exact serial order: check the budget, search, merge.
+    pub fn advance_observed(
+        &self,
+        faults: &[Fault],
+        threads: usize,
+        progress: &mut RunProgress,
+        stop_before: Option<usize>,
+        mut observe: impl FnMut(&RunProgress),
+    ) {
+        let stop = stop_before.unwrap_or(faults.len()).min(faults.len());
+        if progress.next_fault >= stop {
             return;
         }
-
-        // Fanout-cone masks of the fault sites, used to partition the
-        // speculative waves: a test generated for fault *i* mostly
-        // exercises *i*'s cone, so faults whose cones are disjoint are
-        // rarely dropped by each other's sequences — speculating them
-        // together wastes almost nothing. This is a heuristic, not a
-        // soundness argument: the strict fault-order merge below replays
-        // the drop protocol regardless of how the waves were cut, so
-        // only the wasted-speculation count depends on it. Waves only read
-        // faults in `next_fault..stop`, so only those get a mask.
-        let cones = FaultCones::build(self.netlist, faults, progress.next_fault..stop);
+        let threads = threads.max(1);
+        let budget = self.config.budget;
+        let adjacency = LiteralAdjacency::for_mode(
+            &self.learned,
+            self.config.learning,
+            self.netlist.num_nodes(),
+        );
         let mut wasted = 0usize;
         sla_par::with_pool(
             threads,
             |_worker| {
-                TestGenerator::with_levels(
-                    self.netlist,
-                    self.levels.clone(),
-                    self.config,
-                    &self.learned,
-                )
+                TestGenerator::with_shared(self.netlist, &self.levels, &adjacency, self.config)
             },
             |generator, idx: usize| (idx, self.generate_quarantined(generator, faults, idx)),
             |pool| {
-                // Speculation depth: at least one fault per worker; grows
-                // on waste-free merges, shrinks when a quarter of the
-                // merged results had been dropped by earlier sequences.
-                // All of this is a pure function of merged state, so wave
-                // boundaries — which affect only performance — are
-                // deterministic too.
-                let mut wave_cap = threads;
-                let mut results: FastHashMap<usize, JobOutcome<GenResult>> = FastHashMap::default();
-                let mut union = cones.empty_mask();
-                let mut last_wave = 0usize;
-                let mut wasted_before = 0usize;
+                // Results received ahead of their merge turn. Generation is
+                // a pure function of the fault, so a held result stays valid
+                // as long as its fault is unclassified.
+                let mut held: FastHashMap<usize, JobOutcome<GenResult>> = FastHashMap::default();
+                // Every fault in `next_fault..cursor` is classified or has
+                // been submitted.
+                let mut cursor = progress.next_fault;
+                let mut in_flight = 0usize;
                 loop {
                     // Ordered merge: strictly ascending fault index,
                     // replaying the serial loop (including dropping and the
-                    // budget stop). A speculative result may wait here across
-                    // waves until every earlier fault is classified —
-                    // generation is a pure function of the fault, so a held
-                    // result stays valid as long as its fault is
-                    // unclassified.
+                    // budget stop).
                     let mut exhausted = false;
                     while progress.next_fault < stop {
                         let next = progress.next_fault;
                         if progress.verdict(next).is_some() {
                             // Classified without a search (tied screening
                             // or dropped): the serial run never searched
-                            // it — a speculative result is wasted work.
-                            if results.remove(&next).is_some() {
+                            // it, so a held result is wasted work.
+                            if held.remove(&next).is_some() {
                                 wasted += 1;
                             }
-                            progress.next_fault += 1;
                         } else if budget.exhausted(progress.budget_spent) {
-                            // Same check position as the serial loop: a
-                            // pure function of the merged prefix, so every
-                            // thread count stops at this exact fault.
+                            // Same check position as a serial loop: a pure
+                            // function of the merged prefix, so every thread
+                            // count stops at this exact fault.
                             exhausted = true;
                             break;
-                        } else if let Some(outcome) = results.remove(&next) {
-                            self.absorb(next, outcome, faults, &fault_sim, progress);
-                            progress.next_fault += 1;
+                        } else if let Some(outcome) = held.remove(&next) {
+                            self.absorb(next, outcome, faults, progress);
                         } else {
                             break;
                         }
-                    }
-                    if last_wave > 0 {
-                        let wave_waste = wasted - wasted_before;
-                        if wave_waste * 4 >= last_wave {
-                            wave_cap = (wave_cap / 2).max(threads);
-                        } else if wave_waste == 0 {
-                            wave_cap = (wave_cap * 2).min(8 * threads);
-                        }
+                        progress.next_fault += 1;
+                        observe(progress);
                     }
                     if exhausted || progress.next_fault >= stop {
                         break;
                     }
-                    // Build the next wave: the merge blocker itself (so
-                    // every wave guarantees progress), then upcoming
-                    // unclassified faults whose cones are disjoint from
-                    // everything already in the wave.
-                    let blocker = progress.next_fault;
-                    let mut wave = vec![blocker];
-                    union.copy_from(cones.mask(blocker));
-                    let scan_limit = 8 * wave_cap;
-                    let mut idx = blocker + 1;
-                    let mut scanned = 0usize;
-                    while wave.len() < wave_cap && idx < stop && scanned < scan_limit {
-                        if progress.verdict(idx).is_none()
-                            && !results.contains_key(&idx)
-                            && union.disjoint(cones.mask(idx))
-                        {
-                            union.union_with(cones.mask(idx));
-                            wave.push(idx);
+                    // Refill the window from the lowest faults that are
+                    // neither classified nor submitted. The merge blocker is
+                    // always among them or already in flight.
+                    cursor = cursor.max(progress.next_fault);
+                    while in_flight < threads && cursor < stop {
+                        if progress.verdict(cursor).is_none() {
+                            pool.submit(cursor);
+                            in_flight += 1;
                         }
-                        scanned += 1;
-                        idx += 1;
+                        cursor += 1;
                     }
-                    for &i in &wave {
-                        pool.submit(i);
+                    if in_flight == 0 {
+                        // Unreachable: the merge blocker is unclassified,
+                        // unheld and below `stop`, so it is in flight now.
+                        break;
                     }
-                    for _ in 0..wave.len() {
-                        let (i, result) = pool.recv();
-                        results.insert(i, result);
+                    let (i, outcome) = pool.recv();
+                    in_flight -= 1;
+                    if progress.verdict(i).is_some() {
+                        wasted += 1;
+                    } else {
+                        held.insert(i, outcome);
                     }
-                    last_wave = wave.len();
-                    wasted_before = wasted;
                 }
+                for _ in 0..in_flight {
+                    pool.recv();
+                }
+                wasted += in_flight;
             },
         );
         progress.wasted_speculations += wasted;
@@ -591,8 +585,8 @@ impl<'a> AtpgEngine<'a> {
     ) -> JobOutcome<GenResult> {
         let panic_at = self.panic_at;
         // Resolve the fault before entering the quarantine: an out-of-range
-        // index (impossible by construction — waves only submit indices
-        // below `stop`) becomes a quarantined outcome, not a panic.
+        // index (impossible by construction — the window only submits
+        // indices below `stop`) becomes a quarantined outcome, not a panic.
         let Some(&fault) = faults.get(idx) else {
             return JobOutcome::Panicked(format!("fault index {idx} out of range"));
         };
@@ -604,15 +598,13 @@ impl<'a> AtpgEngine<'a> {
         })
     }
 
-    /// Merges the generation outcome of fault `i` into the run state — the
-    /// loop body shared verbatim by the serial path and the in-order merge of
-    /// the sharded path (which is what keeps the two bit-identical).
+    /// Merges the generation outcome of fault `i` into the run state, at
+    /// fault `i`'s turn in the in-order merge.
     fn absorb(
         &self,
         i: usize,
         outcome: JobOutcome<GenResult>,
         faults: &[Fault],
-        fault_sim: &FaultSimulator<'_>,
         progress: &mut RunProgress,
     ) {
         let result = match outcome {
@@ -641,7 +633,7 @@ impl<'a> AtpgEngine<'a> {
                         .map(|(j, &f)| (j, f))
                         .collect();
                     let targets: Vec<Fault> = remaining.iter().map(|&(_, f)| f).collect();
-                    let hit = fault_sim.detected_faults(&targets, &sequence);
+                    let hit = sla_sim::detected_faults(self.netlist, &targets, &sequence);
                     for (&(j, _), &detected) in remaining.iter().zip(&hit) {
                         if detected {
                             progress.classify(j, FaultStatus::Detected);
@@ -657,120 +649,13 @@ impl<'a> AtpgEngine<'a> {
     }
 }
 
-/// A word-packed node set (one bit per netlist node).
-#[derive(Clone)]
-struct ConeMask(Vec<u64>);
-
-impl ConeMask {
-    fn empty(words: usize) -> ConeMask {
-        ConeMask(vec![0; words])
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> bool {
-        self.0
-            .get(idx / 64)
-            .is_some_and(|word| word & (1 << (idx % 64)) != 0)
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize) {
-        if let Some(word) = self.0.get_mut(idx / 64) {
-            *word |= 1 << (idx % 64);
-        }
-    }
-
-    fn disjoint(&self, other: &ConeMask) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| a & b == 0)
-    }
-
-    fn union_with(&mut self, other: &ConeMask) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= b;
-        }
-    }
-
-    fn copy_from(&mut self, other: &ConeMask) {
-        self.0.copy_from_slice(&other.0);
-    }
-}
-
-/// Fanout-cone masks of the fault sites in one index range of the fault
-/// list, deduplicated by site node (every fault on one gate — both
-/// polarities, every pin — shares the gate's cone).
-struct FaultCones {
-    masks: Vec<ConeMask>,
-    /// Mask of fault `offset + k` is `masks[index[k]]`.
-    index: Vec<usize>,
-    offset: usize,
-    /// All-zero mask of the right width: the total-lookup fallback of
-    /// [`FaultCones::mask`] and the seed of [`FaultCones::empty_mask`].
-    empty: ConeMask,
-}
-
-impl FaultCones {
-    /// Masks for the faults with indices in `range` (an empty set when the
-    /// range does not lie inside the list).
-    fn build(netlist: &Netlist, faults: &[Fault], range: std::ops::Range<usize>) -> FaultCones {
-        let words = netlist.num_nodes().div_ceil(64);
-        let offset = range.start;
-        let mut by_node: FastHashMap<u32, usize> = FastHashMap::default();
-        let mut masks: Vec<ConeMask> = Vec::new();
-        let index = faults
-            .get(range)
-            .unwrap_or_default()
-            .iter()
-            .map(|f| {
-                let start = f.site.node();
-                *by_node.entry(start.0).or_insert_with(|| {
-                    let mut mask = ConeMask::empty(words);
-                    mask.set(start.index());
-                    let mut stack = vec![start];
-                    while let Some(x) = stack.pop() {
-                        for &fo in netlist.fanouts(x) {
-                            if !mask.get(fo.index()) {
-                                mask.set(fo.index());
-                                stack.push(fo);
-                            }
-                        }
-                    }
-                    masks.push(mask);
-                    masks.len() - 1
-                })
-            })
-            .collect();
-        FaultCones {
-            masks,
-            index,
-            offset,
-            empty: ConeMask::empty(words),
-        }
-    }
-
-    /// Cone mask of fault `fault`. Total: an index outside the built range
-    /// (impossible for wave-submitted indices) yields the empty mask, which
-    /// is disjoint from everything — the merge replays the drop protocol
-    /// regardless.
-    fn mask(&self, fault: usize) -> &ConeMask {
-        fault
-            .checked_sub(self.offset)
-            .and_then(|k| self.index.get(k))
-            .and_then(|&m| self.masks.get(m))
-            .unwrap_or(&self.empty)
-    }
-
-    fn empty_mask(&self) -> ConeMask {
-        self.empty.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::LearningMode;
     use sla_core::{LearnOptions, SequentialLearner, WorkBudget};
     use sla_netlist::{GateType, NetlistBuilder};
-    use sla_sim::{collapsed_fault_list, full_fault_list};
+    use sla_sim::{collapsed_fault_list, full_fault_list, FaultSimulator};
 
     /// Small sequential circuit with a combinationally redundant gate.
     fn sample() -> Netlist {
@@ -930,27 +815,61 @@ mod tests {
         }
     }
 
-    /// Cone-disjoint wave partitioning bounds speculation waste: faults with
-    /// non-overlapping fault cones are rarely dropped by each other's
-    /// sequences, so speculating them together wastes almost nothing. The
-    /// counts are pinned — a deterministic function of the workload and
-    /// thread count — so a regression in the partition (or a return to
-    /// blind contiguous waves, which measurably wasted speculations on this
-    /// workload during development) shows up here.
+    /// What the in-order window guarantees about wasted speculation,
+    /// whatever the timing: the serial run wastes nothing, and neither does
+    /// a run without fault dropping. A fault the serial run searches was
+    /// dropped by no earlier test, so only dropped faults (detected by
+    /// another fault's sequence: `detected - sequences` of them) can be
+    /// wasted, and a budget stop drains at most one search per worker on
+    /// top.
     #[test]
-    fn cone_disjoint_waves_bound_speculation_waste() {
+    fn speculation_waste_is_bounded_by_dropped_faults() {
         let n = sample();
         let faults = full_fault_list(&n);
         let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let serial = engine.run_with_threads(&faults, 1);
         assert_eq!(serial.stats.wasted_speculations, 0, "serial never wastes");
+        let dropped = serial.stats.detected - serial.stats.sequences;
         for threads in [2, 4] {
             let sharded = engine.run_with_threads(&faults, threads);
             assert_eq!(serial.status, sharded.status, "t={threads}");
+            assert!(
+                sharded.stats.wasted_speculations <= dropped,
+                "only dropped faults can be wasted (t={threads}): {} > {dropped}",
+                sharded.stats.wasted_speculations
+            );
+        }
+
+        let independent =
+            AtpgEngine::new(&n, AtpgOptions::builder().fault_dropping(false).build()).unwrap();
+        for threads in [1, 2, 4] {
+            let run = independent.run_with_threads(&faults, threads);
             assert_eq!(
-                sharded.stats.wasted_speculations, 0,
-                "cone-disjoint waves must not waste a single speculation on \
-                 this workload (t={threads})"
+                run.stats.wasted_speculations, 0,
+                "nothing is dropped, so nothing is wasted (t={threads})"
+            );
+        }
+
+        let limited = AtpgEngine::new(
+            &n,
+            AtpgOptions::builder()
+                .budget(WorkBudget::units(serial.stats.budget_spent / 2))
+                .build(),
+        )
+        .unwrap();
+        let limited_serial = limited.run_with_threads(&faults, 1);
+        assert!(limited_serial
+            .status
+            .contains(&FaultStatus::Aborted(AbortReason::Budget)));
+        assert_eq!(limited_serial.stats.wasted_speculations, 0);
+        for threads in [2, 4] {
+            let run = limited.run_with_threads(&faults, threads);
+            assert_eq!(limited_serial.status, run.status, "t={threads}");
+            let bound = run.stats.detected - run.stats.sequences + threads;
+            assert!(
+                run.stats.wasted_speculations <= bound,
+                "a budget stop drains at most one search per worker (t={threads}): {} > {bound}",
+                run.stats.wasted_speculations
             );
         }
     }
@@ -1083,8 +1002,8 @@ mod tests {
                 engine.advance(&faults, threads, &mut progress, None);
                 assert!(progress.is_complete());
                 let mut run = engine.finish(progress);
-                // Wave partitioning changes with the slicing, so the one
-                // documented thread-variant diagnostic is excluded.
+                // Speculation varies with the slicing and the timing, so
+                // the one documented thread-variant diagnostic is excluded.
                 run.stats.wasted_speculations = one_shot.stats.wasted_speculations;
                 assert_eq!(run, one_shot, "t={threads} boundary={boundary}");
             }

@@ -279,6 +279,22 @@ impl LiteralAdjacency {
         }
     }
 
+    /// The adjacency a search under `mode` consults: `learned`'s
+    /// implications and cross-frame relations compiled for a netlist of
+    /// `num_nodes` nodes, or an empty adjacency, compiled from nothing,
+    /// when `mode` uses no learning.
+    pub fn for_mode(learned: &LearnedData, mode: LearningMode, num_nodes: usize) -> Self {
+        if mode.uses_learning() {
+            LiteralAdjacency::build_with_cross(
+                learned.implications(),
+                learned.cross_frame(),
+                num_nodes,
+            )
+        } else {
+            LiteralAdjacency::default()
+        }
+    }
+
     /// Same-frame consequent literal codes of `lit`.
     #[inline]
     fn consequents(&self, lit: u32) -> &[u32] {

@@ -19,6 +19,7 @@ use crate::Result;
 use sla_netlist::levelize::{levelize, Levelization};
 use sla_netlist::{FastHashMap, GateType, Netlist, NodeId, NodeKind};
 use sla_sim::{eval_gate3, EventSim, Fault, FaultSite, Logic3, TestSequence};
+use std::borrow::Cow;
 
 /// Hard bound on the decisions of one window search, a safety net against
 /// degenerate search trees on large circuits.
@@ -29,13 +30,18 @@ const MAX_DECISIONS: usize = 20_000;
 pub enum GenOutcome {
     /// A test sequence was found (already in primary-input order).
     Detected(TestSequence),
-    /// The search space was exhausted at the maximum window without reaching
-    /// the backtrack limit: the fault is reported untestable (within the
-    /// window, see DESIGN.md for the approximation). Under a learning mode
-    /// the exhausted space excludes branches pruned by learned implications,
-    /// so "untestable" additionally assumes the circuit operates from a
-    /// state consistent with its learned invariants (the paper's §4
-    /// semantics — a test relying on a power-up state the invariants exclude
+    /// The search tree was exhausted at the maximum window without reaching
+    /// the backtrack limit, and the fault is reported untestable.
+    ///
+    /// An exhausted search at `max_window` is not a proof. A fault whose
+    /// shortest test needs more than `max_window` frames is exhausted too,
+    /// and so is one whose only tests need an objective or backtrace path
+    /// the heuristics never offer (each dead end counts as a conflict).
+    /// ROADMAP.md item 1 records measured false verdicts of both kinds.
+    /// Under a learning mode the exhausted space also excludes branches
+    /// pruned by learned implications, which assumes the circuit operates
+    /// from a state consistent with its learned invariants (the paper's §4
+    /// semantics: a test relying on a power-up state the invariants exclude
     /// is not searched for).
     Untestable,
     /// The backtrack or decision limit was reached.
@@ -65,55 +71,57 @@ struct Decision {
 }
 
 /// Sequential PODEM test generator.
+///
+/// The levelization and the compiled implication adjacency are read-only
+/// during a search. A standalone generator ([`TestGenerator::new`]) owns
+/// them. The ATPG engine levelizes once and compiles the adjacency once per
+/// `advance` call, and every worker's generator borrows both
+/// ([`TestGenerator::with_shared`]).
 #[derive(Debug)]
 pub struct TestGenerator<'a> {
     netlist: &'a Netlist,
-    levels: Levelization,
+    levels: Cow<'a, Levelization>,
     config: AtpgOptions,
-    /// CSR adjacency over the learned implications, built once per generator.
-    adjacency: LiteralAdjacency,
+    /// CSR adjacency over the learned implications.
+    adjacency: Cow<'a, LiteralAdjacency>,
 }
 
 impl<'a> TestGenerator<'a> {
-    /// Builds a generator. The learned data is consulted only at construction
-    /// time (it is compiled into the indexed implication adjacency).
+    /// Builds a standalone generator. The learned data is consulted only at
+    /// construction time (it is compiled into the indexed implication
+    /// adjacency).
     ///
     /// # Errors
     ///
     /// Returns an error when the combinational logic cannot be levelized.
     pub fn new(netlist: &'a Netlist, config: AtpgOptions, learned: &LearnedData) -> Result<Self> {
-        Ok(Self::with_levels(
+        Ok(TestGenerator {
             netlist,
-            levelize(netlist)?,
+            levels: Cow::Owned(levelize(netlist)?),
             config,
-            learned,
-        ))
+            adjacency: Cow::Owned(LiteralAdjacency::for_mode(
+                learned,
+                config.learning,
+                netlist.num_nodes(),
+            )),
+        })
     }
 
-    /// Builds a generator from an existing levelization, infallibly.
-    ///
-    /// The ATPG engine validates a levelization once at construction and hands
-    /// clones to every per-worker generator, so no fallible work remains here.
-    pub fn with_levels(
+    /// Builds a generator on state shared with other generators, infallibly
+    /// and without copying: `levels` must be the netlist's levelization and
+    /// `adjacency` the learned data compiled for `config.learning`
+    /// ([`LiteralAdjacency::for_mode`]).
+    pub fn with_shared(
         netlist: &'a Netlist,
-        levels: Levelization,
+        levels: &'a Levelization,
+        adjacency: &'a LiteralAdjacency,
         config: AtpgOptions,
-        learned: &LearnedData,
     ) -> Self {
-        let adjacency = if config.learning.uses_learning() {
-            LiteralAdjacency::build_with_cross(
-                learned.implications(),
-                learned.cross_frame(),
-                netlist.num_nodes(),
-            )
-        } else {
-            LiteralAdjacency::default()
-        };
         TestGenerator {
             netlist,
-            levels,
+            levels: Cow::Borrowed(levels),
             config,
-            adjacency,
+            adjacency: Cow::Borrowed(adjacency),
         }
     }
 

@@ -98,7 +98,7 @@ fn atpg_search_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread scaling of the wave-sharded ATPG loop on the Table-5 workload
+/// Thread scaling of the ATPG speculation window on the Table-5 workload
 /// (learning mode, fault dropping on — the worst case for speculation). The
 /// `threads/1` lane is the exact serial path; the others produce
 /// bit-identical verdicts, backtracks and sequences (property-tested in

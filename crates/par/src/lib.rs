@@ -15,10 +15,12 @@
 //!   vector is deterministic. Callers then perform an *ordered merge*, which
 //!   keeps any order-sensitive reduction identical to the serial loop.
 //! * [`with_pool`] — a scoped worker pool with per-worker state and a
-//!   submit/collect handle, for pipelines that interleave parallel phases with
-//!   serial merge steps (speculative ATPG waves, speculative learning
-//!   batches). Workers live for the whole pool scope, so per-worker setup
-//!   (test generators, simulators) is paid once, not per job.
+//!   submit/collect handle, for pipelines that interleave parallel jobs with
+//!   serial merge steps (the ATPG engine's in-order speculation window,
+//!   speculative learning batches). Workers live for the whole pool scope,
+//!   so per-worker setup is paid once per scope, not per job; the ATPG
+//!   engine opens one scope per `advance` call, so a streamed request builds
+//!   each worker's test generator once.
 //!
 //! Everything is built on `std::thread::scope`: no extra dependencies, and
 //! borrowed data (netlists, simulators, fault lists) crosses into workers
@@ -317,9 +319,11 @@ impl<'p, Job, Out> PoolHandle<'p, Job, Out> {
 /// down when `body` returns; its return value is passed through.
 ///
 /// With `threads <= 1` no thread is spawned: jobs run inline at submission
-/// (serial-exact path). The pool makes **no ordering guarantee** between
-/// results of concurrently executing jobs — determinism comes from the
-/// caller's ordered merge, exactly as with [`run_indexed`].
+/// (serial-exact path: a body that receives each result before its next
+/// submission runs its jobs exactly as a serial loop would). The pool makes
+/// **no ordering guarantee** between results of concurrently executing jobs
+/// — determinism comes from the caller's ordered merge, exactly as with
+/// [`run_indexed`].
 pub fn with_pool<Job, Out, S, I, W, F, R>(threads: usize, init: I, work: W, body: F) -> R
 where
     Job: Send,
@@ -432,7 +436,7 @@ mod tests {
     #[test]
     fn with_pool_interleaves_waves() {
         // Two waves where the second depends on the merged first: the pattern
-        // of the speculative ATPG/learning pipelines.
+        // of the speculative learning batches.
         let result = with_pool(
             3,
             |_| (),

@@ -64,15 +64,6 @@ impl<'a> FaultSimulator<'a> {
         })
     }
 
-    /// Builds a fault simulator from an existing levelization, infallibly.
-    ///
-    /// Callers that already hold a [`Levelization`] of the same netlist (the
-    /// ATPG engine validates one at construction) use this to avoid a
-    /// re-levelize and the impossible error path.
-    pub fn with_levels(netlist: &'a Netlist, levels: Levelization) -> Self {
-        FaultSimulator { netlist, levels }
-    }
-
     /// Simulates the fault-free machine and returns per-frame values of all
     /// nodes (initial state all-X).
     pub fn good_trace(&self, sequence: &TestSequence) -> Vec<Vec<Logic3>> {
@@ -85,59 +76,10 @@ impl<'a> FaultSimulator<'a> {
         self.detects_against(fault, sequence, &good)
     }
 
-    /// Fault simulation of a whole fault list; entry *i* of the result tells
-    /// whether `faults[i]` is detected by `sequence`.
-    ///
-    /// The work is restricted to the targets' *support*: the forward closure
-    /// of the fault sites (crossing flip-flops into later frames) plus every
-    /// node that feeds that closure (again crossing flip-flops). The support
-    /// is closed under fanins, so the good machine simulated on it alone has
-    /// exactly its whole-netlist values there; a faulty machine can differ
-    /// from the good one only inside the forward closure, so only primary
-    /// outputs there can detect. The good machine is simulated once, then the
-    /// faulty machines word-parallel, up to 64 faults per forward pass (one
-    /// lane per fault), all on arrays sized by the support. An empty target
-    /// list returns at once.
+    /// Fault simulation of a whole fault list: [`detected_faults`] on this
+    /// simulator's netlist.
     pub fn detected_faults(&self, faults: &[Fault], sequence: &TestSequence) -> Vec<bool> {
-        if faults.is_empty() {
-            return Vec::new();
-        }
-        let support = Support::new(self.netlist, faults);
-        let outputs = &support.outputs;
-        if outputs.is_empty() {
-            return vec![false; faults.len()];
-        }
-        let mut sim = SupportSim::new(&support);
-        let mut good = Vec::with_capacity(sequence.len() * outputs.len());
-        for vector in &sequence.vectors {
-            sim.eval_frame(vector);
-            good.extend(outputs.iter().map(|&o| sim.values[o as usize]));
-            sim.latch();
-        }
-        let mut out = Vec::with_capacity(faults.len());
-        for (chunk, sites) in faults.chunks(64).zip(support.sites.chunks(64)) {
-            sim.load_faults(chunk, sites);
-            let all: u64 = if chunk.len() == 64 {
-                u64::MAX
-            } else {
-                (1u64 << chunk.len()) - 1
-            };
-            let mut detected = 0u64;
-            for (vector, good) in sequence.vectors.iter().zip(good.chunks(outputs.len())) {
-                sim.eval_frame(vector);
-                // A primary output binary in the good machine and the
-                // opposite binary value in a faulty lane detects that lane.
-                for (&o, g) in outputs.iter().zip(good) {
-                    detected |= g.mismatch_lanes(sim.values[o as usize]);
-                }
-                if detected == all {
-                    break;
-                }
-                sim.latch();
-            }
-            out.extend((0..chunk.len()).map(|lane| detected >> lane & 1 == 1));
-        }
-        out
+        detected_faults(self.netlist, faults, sequence)
     }
 
     fn detects_against(
@@ -229,6 +171,62 @@ impl<'a> FaultSimulator<'a> {
         }
         out
     }
+}
+
+/// Fault simulation of a whole fault list; entry *i* of the result tells
+/// whether `faults[i]` is detected by `sequence`.
+///
+/// The work is restricted to the targets' *support*: the forward closure
+/// of the fault sites (crossing flip-flops into later frames) plus every
+/// node that feeds that closure (again crossing flip-flops). The support
+/// is closed under fanins, so the good machine simulated on it alone has
+/// exactly its whole-netlist values there; a faulty machine can differ
+/// from the good one only inside the forward closure, so only primary
+/// outputs there can detect. The good machine is simulated once, then the
+/// faulty machines word-parallel, up to 64 faults per forward pass (one
+/// lane per fault), all on arrays sized by the support. An empty target
+/// list returns at once. No [`Levelization`] is needed: the support orders
+/// its gates by the arena's stored logic levels.
+pub fn detected_faults(netlist: &Netlist, faults: &[Fault], sequence: &TestSequence) -> Vec<bool> {
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let support = Support::new(netlist, faults);
+    let outputs = &support.outputs;
+    if outputs.is_empty() {
+        return vec![false; faults.len()];
+    }
+    let mut sim = SupportSim::new(&support);
+    let mut good = Vec::with_capacity(sequence.len() * outputs.len());
+    for vector in &sequence.vectors {
+        sim.eval_frame(vector);
+        good.extend(outputs.iter().map(|&o| sim.values[o as usize]));
+        sim.latch();
+    }
+    let mut out = Vec::with_capacity(faults.len());
+    for (chunk, sites) in faults.chunks(64).zip(support.sites.chunks(64)) {
+        sim.load_faults(chunk, sites);
+        let all: u64 = if chunk.len() == 64 {
+            u64::MAX
+        } else {
+            (1u64 << chunk.len()) - 1
+        };
+        let mut detected = 0u64;
+        for (vector, good) in sequence.vectors.iter().zip(good.chunks(outputs.len())) {
+            sim.eval_frame(vector);
+            // A primary output binary in the good machine and the
+            // opposite binary value in a faulty lane detects that lane.
+            for (&o, g) in outputs.iter().zip(good) {
+                detected |= g.mismatch_lanes(sim.values[o as usize]);
+            }
+            if detected == all {
+                break;
+            }
+            sim.latch();
+        }
+        out.extend((0..chunk.len()).map(|lane| detected >> lane & 1 == 1));
+    }
+    out
 }
 
 /// Local-index sentinel: the node is outside the support.

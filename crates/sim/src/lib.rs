@@ -67,7 +67,7 @@ pub use equiv::{find_equivalences, EquivClasses, EquivConfig};
 pub use eval::{eval_gate3, eval_gate3_at, eval_gate64};
 pub use event::EventSim;
 pub use fault::{collapsed_fault_list, full_fault_list, Fault, FaultSite};
-pub use fault_sim::{FaultSimulator, TestSequence};
+pub use fault_sim::{detected_faults, FaultSimulator, TestSequence};
 pub use frame::CombEvaluator;
 pub use inject::{Conflict, Injection, InjectionSim, SimOptions, Trace};
 pub use oracle::{OracleError, StateOracle};

@@ -7,7 +7,7 @@
 //! bit-identical results.
 
 use crate::{LearnedStore, StoreError, StoreKey};
-use sla_atpg::{AtpgEngine, AtpgOptions, AtpgRun, FaultStatus, LearnedData};
+use sla_atpg::{AtpgEngine, AtpgOptions, AtpgRun, FaultStatus, LearnedData, RunProgress};
 use sla_core::{LearnOptions, SequentialLearner};
 use sla_netlist::{Netlist, NetlistError};
 use sla_sim::Fault;
@@ -166,24 +166,27 @@ impl<'a> Session<'a> {
         self.report.as_ref().expect("just installed")
     }
 
-    /// Runs ATPG over `faults` with the session's learned database.
+    /// Runs ATPG over `faults` with the session's learned database:
+    /// [`Session::atpg_streaming`] with a sink that discards the strides.
     pub fn atpg(&self, options: &AtpgOptions, faults: &[Fault]) -> Result<AtpgRun, NetlistError> {
-        let engine = AtpgEngine::new(self.netlist, *options)?.with_learned(self.learned.clone());
-        Ok(engine.run_with_threads(faults, self.threads))
+        self.atpg_streaming(options, faults, |_, _| {})
     }
 
-    /// Like [`Session::atpg`], but emits verdicts in strict fault order as
+    /// Runs ATPG over `faults` and emits verdicts in strict fault order as
     /// prefixes of the run are merged, before the final [`AtpgRun`] is
     /// returned.
     ///
-    /// `sink(first, verdicts)` receives one merged stride per call: the
-    /// verdicts of faults `first..first + verdicts.len()`, at most
-    /// `STREAM_STRIDE` (32) of them. The calls are contiguous and cover
-    /// every fault exactly once, so a caller can send a stride as one
-    /// batch. When the work budget runs out, the tail that
-    /// [`AtpgEngine::finish`] classifies comes last, cut into strides the
-    /// same way. Verdicts are identical to the batch run at every thread
-    /// count; only the emission is incremental.
+    /// The whole request is one [`AtpgEngine::advance_observed`] pass: one
+    /// worker pool, one compiled learned adjacency, and a speculation window
+    /// that runs across stride boundaries. `sink(first, verdicts)` receives
+    /// one merged stride per call: the verdicts of faults `first..first +
+    /// verdicts.len()`, at most `STREAM_STRIDE` (32) of them, emitted as
+    /// soon as the merged prefix covers the stride. The calls are
+    /// contiguous and cover every fault exactly once, so a caller can send a
+    /// stride as one batch. When the work budget runs out, the merged part
+    /// of the current stride comes first, then the tail that
+    /// [`AtpgEngine::finish`] classifies, cut into strides the same way.
+    /// Verdicts and stride boundaries are identical at every thread count.
     pub fn atpg_streaming(
         &self,
         options: &AtpgOptions,
@@ -194,26 +197,27 @@ impl<'a> Session<'a> {
         let engine = AtpgEngine::new(self.netlist, *options)?.with_learned(self.learned.clone());
         let mut progress = engine.start(faults);
         let mut stride = Vec::with_capacity(STREAM_STRIDE);
-        let mut emitted = 0;
-        while emitted < faults.len() {
-            engine.advance(
-                faults,
-                self.threads,
-                &mut progress,
-                Some(emitted + STREAM_STRIDE),
-            );
-            let merged = progress.next_fault();
-            if merged == emitted {
-                // The work budget ran out; `finish` classifies the tail.
-                break;
-            }
+        let mut emit = |progress: &RunProgress, first: usize, end: usize| {
             stride.clear();
             stride.extend(
-                progress.status()[emitted..merged]
+                progress.status()[first..end]
                     .iter()
                     .map(|s| s.expect("merged prefix is classified")),
             );
-            sink(emitted, &stride);
+            sink(first, &stride);
+        };
+        let mut emitted = 0;
+        engine.advance_observed(faults, self.threads, &mut progress, None, |progress| {
+            if progress.next_fault() >= emitted + STREAM_STRIDE {
+                emit(progress, emitted, emitted + STREAM_STRIDE);
+                emitted += STREAM_STRIDE;
+            }
+        });
+        // The last merged stride: partial at the end of the list, or where
+        // the work budget ran out.
+        let merged = progress.next_fault();
+        if merged > emitted {
+            emit(&progress, emitted, merged);
             emitted = merged;
         }
         let mut run = engine.finish(progress);
@@ -236,10 +240,10 @@ mod tests {
     /// The sink calls of one streaming run, as `(first, verdicts)`.
     type Calls = Vec<(usize, Vec<FaultStatus>)>;
 
-    /// Streams a run and checks the sink contract against the batch run:
-    /// calls are contiguous and in order, each holds one to
-    /// `STREAM_STRIDE` verdicts, together they cover every fault exactly
-    /// once, and their verdicts are [`Session::atpg`]'s.
+    /// Streams a run and checks the sink contract against a serial batch
+    /// run of the engine: calls are contiguous and in order, each holds one
+    /// to `STREAM_STRIDE` verdicts, together they cover every fault exactly
+    /// once, and their verdicts are the serial run's.
     fn stream_checked(session: &Session<'_>, options: &AtpgOptions, faults: &[Fault]) -> Calls {
         let mut calls = Calls::new();
         let streamed = session
@@ -247,7 +251,10 @@ mod tests {
                 calls.push((first, verdicts.to_vec()))
             })
             .expect("streaming ATPG");
-        let batch = session.atpg(options, faults).expect("batch ATPG");
+        let batch = AtpgEngine::new(session.netlist(), *options)
+            .expect("engine")
+            .with_learned(session.learned().clone())
+            .run_with_threads(faults, 1);
         let mut next = 0;
         for (first, verdicts) in &calls {
             assert_eq!(*first, next, "calls are contiguous and in fault order");
@@ -265,6 +272,10 @@ mod tests {
             "streamed verdicts are the batch run's"
         );
         assert_eq!(streamed.status, batch.status);
+        assert_eq!(streamed.sequences, batch.sequences);
+        assert_eq!(streamed.stats.backtracks, batch.stats.backtracks);
+        assert_eq!(streamed.stats.decisions, batch.stats.decisions);
+        assert_eq!(streamed.stats.budget_spent, batch.stats.budget_spent);
         calls
     }
 
@@ -280,7 +291,7 @@ mod tests {
             .backtrack_limit(100)
             .learning(LearningMode::ForbiddenValue)
             .build();
-        for threads in [1, 4] {
+        for threads in [1, 2, 4] {
             let mut session = Session::open(&netlist).with_threads(threads);
             session
                 .learn(&LearnOptions::builder().cross_frame(true).build())

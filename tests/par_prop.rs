@@ -77,8 +77,8 @@ proptest! {
 
     /// `AtpgEngine::run_with_threads(N)` ≡ the serial run: per-fault statuses,
     /// backtrack and decision totals, and the generated sequences — with the
-    /// learned data attached and fault dropping active (the coupling the wave
-    /// merge must replay exactly).
+    /// learned data attached and fault dropping active (the coupling the
+    /// in-order merge must replay exactly).
     #[test]
     fn sharded_atpg_is_bit_identical_to_single_thread(
         seed in 0u64..200,
@@ -91,7 +91,7 @@ proptest! {
         // Cross-frame learning on: the sharded searches must stay
         // bit-identical with cross-frame forbidden-value pruning active in
         // every worker (the hints depend only on the learned data and the
-        // per-fault search state, never on the wave partition).
+        // per-fault search state, never on the speculation schedule).
         let learned = LearnedData::from(
             &SequentialLearner::new(
                 &netlist,
@@ -191,7 +191,11 @@ proptest! {
 /// serial — on the structured generators the benchmarks use (not just the
 /// random synthesizer). The third workload is the cross-frame flavour of the
 /// Table-5 circuit with cross-frame learning enabled, so the pipeline is
-/// checked end to end exactly where cross-frame pruning fires.
+/// checked end to end exactly where cross-frame pruning fires. The fourth is
+/// the shape of the end-to-end benchmark's ATPG requests: a whole collapsed
+/// fault list at backtrack limit 100, where fault cones overlap and fault
+/// dropping discards some speculative searches. ATPG runs at 2 threads (the
+/// benchmark's count) and 4.
 #[test]
 fn sharded_pipeline_matches_serial_on_structured_workloads() {
     use seqlearn::circuits::{retimed_circuit, table5_circuit, RetimedConfig, Table5Config};
@@ -204,7 +208,14 @@ fn sharded_pipeline_matches_serial_on_structured_workloads() {
     });
     let table5 = table5_circuit(&Table5Config::default());
     let table5x = table5_circuit(&Table5Config::with_cross_cells(2));
-    for (netlist, cross) in [(&retimed, false), (&table5, false), (&table5x, true)] {
+    let table5x3 = table5_circuit(&Table5Config::with_cross_cells(3));
+    // (netlist, cross-frame learning, backtrack limit, faults searched)
+    for (netlist, cross, limit, max_faults) in [
+        (&retimed, false, 30, 80),
+        (&table5, false, 30, 80),
+        (&table5x, true, 30, 80),
+        (&table5x3, true, 100, usize::MAX),
+    ] {
         let learner =
             SequentialLearner::new(netlist, LearnOptions::builder().cross_frame(cross).build());
         let learn_ref = learner.learn_with_threads(1).unwrap();
@@ -219,19 +230,38 @@ fn sharded_pipeline_matches_serial_on_structured_workloads() {
         let engine = AtpgEngine::new(
             netlist,
             AtpgOptions::builder()
-                .backtrack_limit(30)
+                .backtrack_limit(limit)
                 .learning(LearningMode::ForbiddenValue)
                 .build(),
         )
         .unwrap()
         .with_learned(LearnedData::from(&learn_ref));
         let mut faults = collapsed_fault_list(netlist);
-        faults.truncate(80);
+        faults.truncate(max_faults);
         let run_ref = engine.run_with_threads(&faults, 1);
-        let run_par = engine.run_with_threads(&faults, 4);
-        assert_eq!(run_ref.status, run_par.status);
-        assert_eq!(run_ref.sequences, run_par.sequences);
-        assert_eq!(run_ref.stats.backtracks, run_par.stats.backtracks);
-        assert_eq!(run_ref.stats.decisions, run_par.stats.decisions);
+        assert_eq!(run_ref.stats.wasted_speculations, 0);
+        let name = netlist.name();
+        for threads in [2, 4] {
+            let run_par = engine.run_with_threads(&faults, threads);
+            assert_eq!(run_ref.status, run_par.status, "{name} t={threads}");
+            assert_eq!(run_ref.sequences, run_par.sequences, "{name} t={threads}");
+            assert_eq!(
+                run_ref.stats.backtracks, run_par.stats.backtracks,
+                "{name} t={threads}"
+            );
+            assert_eq!(
+                run_ref.stats.decisions, run_par.stats.decisions,
+                "{name} t={threads}"
+            );
+            assert_eq!(
+                run_ref.stats.test_vectors, run_par.stats.test_vectors,
+                "{name} t={threads}"
+            );
+            assert!(
+                run_par.stats.wasted_speculations
+                    <= run_ref.stats.detected - run_ref.stats.sequences,
+                "{name} t={threads}: only dropped faults can be wasted"
+            );
+        }
     }
 }
