@@ -389,12 +389,11 @@ impl<'a> TestGenerator<'a> {
         // not yet show the effect; set one unknown input to the non-controlling
         // value to push the effect through.
         for (t, id) in machines.d_frontier_iter() {
-            let node = self.netlist.node(id);
-            let NodeKind::Gate(gate) = node.kind else {
+            let NodeKind::Gate(gate) = self.netlist.kind(id) else {
                 continue;
             };
             let noncontrolling = gate.controlling_value().map(|c| !c).unwrap_or(false);
-            for &f in node.fanins {
+            for &f in self.netlist.fanins(id) {
                 if good.value(t, f) == Logic3::X {
                     return Some((t, f, noncontrolling));
                 }
@@ -443,7 +442,7 @@ impl<'a> TestGenerator<'a> {
         if layer.hint(frame, node).is_some_and(|h| h != value) {
             return None;
         }
-        match &self.netlist.node(node).kind {
+        match self.netlist.kind(node) {
             NodeKind::Input => {
                 if good.value(frame, node) == Logic3::X {
                     Some((frame, node, value))
@@ -543,7 +542,7 @@ impl<'a> TestGenerator<'a> {
             if self.config.learning != LearningMode::None && layer.hint(frame, *f) == Some(target) {
                 s -= 4;
             }
-            if self.netlist.node(*f).is_sequential() {
+            if self.netlist.is_sequential(*f) {
                 s += 2;
             }
             s

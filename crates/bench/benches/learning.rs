@@ -43,12 +43,11 @@ fn learning_industrial(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread scaling of the sharded learning pipeline on the industrial
-/// workload. The `threads/1` lane is the exact serial path; the others must
-/// produce bit-identical results (property-tested in `tests/par_prop.rs`),
-/// so any delta here is pure scheduling. Explicit counts are passed through
-/// `learn_with_threads`, independent of the `SLA_THREADS` environment the
-/// JSON metadata records.
+/// Learning on the industrial workload at explicit thread counts, passed
+/// through `learn_with_threads`, independent of the `SLA_THREADS`
+/// environment the JSON metadata records. Learning runs on the calling
+/// thread at every count, so the lanes measure one serial pass and any
+/// delta between them is noise.
 fn learning_thread_scaling(c: &mut Criterion) {
     let netlist = industrial_circuit(&IndustrialConfig::default());
     let mut group = c.benchmark_group("sequential_learning");

@@ -67,8 +67,8 @@ impl LearnResult {
         self.implications
             .relations()
             .filter(|imp| {
-                netlist.node(imp.antecedent.node).is_sequential()
-                    && netlist.node(imp.consequent.node).is_sequential()
+                netlist.is_sequential(imp.antecedent.node)
+                    && netlist.is_sequential(imp.consequent.node)
             })
             .collect()
     }
@@ -125,33 +125,17 @@ impl<'a> SequentialLearner<'a> {
 
     /// Runs the complete learning flow and returns every learned artifact.
     ///
-    /// The two simulation-heavy passes are sharded across worker threads; the
-    /// count comes from the `SLA_THREADS` environment variable (default: the
-    /// machine's available parallelism). Results are **bit-identical** for
-    /// every thread count — `SLA_THREADS=1` is the exact legacy serial path,
-    /// and [`SequentialLearner::learn_with_threads`] pins the count
-    /// explicitly.
+    /// Learning runs on the calling thread, whatever `SLA_THREADS` says.
+    /// Single-node learning packs 32 stems into each forward pass
+    /// ([`single_node::run_batched`]); multiple-node learning packs up to 64
+    /// targets into each pass ([`multi_node::run_batched`]). Its targets are
+    /// coupled through the ties they prove.
     ///
     /// # Errors
     ///
     /// Returns an error when the combinational logic cannot be levelized (the
     /// netlist contains a combinational cycle).
     pub fn learn(&self) -> Result<LearnResult> {
-        self.learn_with_threads(sla_par::thread_count())
-    }
-
-    /// [`SequentialLearner::learn`] with an explicit worker-thread count.
-    ///
-    /// `threads <= 1` runs the serial single-thread pass; any larger count
-    /// shards the single-node stem batches and speculatively pipelines the
-    /// multiple-node batches, with ordered merges that keep the resulting
-    /// database, ties and statistics bit-identical to the serial run.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the combinational logic cannot be levelized (the
-    /// netlist contains a combinational cycle).
-    pub fn learn_with_threads(&self, threads: usize) -> Result<LearnResult> {
         let start = sla_netlist::wallclock::now();
         let netlist = self.netlist;
         let stems = fanout_stems(netlist);
@@ -190,8 +174,8 @@ impl<'a> SequentialLearner<'a> {
         let mut tied: BTreeMap<NodeId, TiedGate> = BTreeMap::new();
         let mut multi_targets = 0usize;
         // Budget accounting: one unit per stem injection, one per
-        // multiple-node target. Truncation happens before the sharded passes
-        // run, so the work list — and therefore the learned database — is a
+        // multiple-node target. Truncation happens before the passes run, so
+        // the work list — and therefore the learned database — is a
         // pure function of the configuration, never of the schedule.
         let budget = self.config.budget;
         let mut budget_spent = 0u64;
@@ -214,13 +198,7 @@ impl<'a> SequentialLearner<'a> {
                 .iter()
                 .copied()
                 .filter(|&s| {
-                    if !netlist.node(s).is_sequential() {
-                        return true;
-                    }
-                    match &mask {
-                        Some(m) => m[s.index()],
-                        None => true,
-                    }
+                    !netlist.is_sequential(s) || mask.as_ref().is_none_or(|m| m[s.index()])
                 })
                 .collect();
             let stem_cap = budget.remaining(budget_spent).min(usize::MAX as u64) as usize;
@@ -231,14 +209,13 @@ impl<'a> SequentialLearner<'a> {
             budget_spent += class_stems.len() as u64;
 
             // Phase 1: single-node learning, 32 stems (64 lanes) per packed
-            // forward pass, sharded across threads by batch boundary.
-            let single = single_node::run_sharded(
+            // forward pass.
+            let single = single_node::run_batched(
                 &sim,
                 &class_stems,
                 &options,
                 mask.as_deref(),
                 self.config.learn_cross_frame,
-                threads,
             );
             for (imp, seq) in single.implications {
                 db.add(imp, seq);
@@ -271,14 +248,13 @@ impl<'a> SequentialLearner<'a> {
                         self.config.max_multi_node_targets.min(r)
                     }
                 };
-                let multi = multi_node::run_sharded(
+                let multi = multi_node::run_batched(
                     &mut sim,
                     &single.support,
                     &options,
                     mask.as_deref(),
                     target_cap,
                     self.config.learn_cross_frame,
-                    threads,
                 );
                 multi_targets += multi.targets_processed;
                 budget_spent += multi.targets_processed as u64;
@@ -321,6 +297,18 @@ impl<'a> SequentialLearner<'a> {
             tied,
             stats,
         })
+    }
+
+    /// [`SequentialLearner::learn`] for callers that pin one worker-thread
+    /// count for a whole session, learning and test generation alike.
+    /// Learning runs on the calling thread, so the outcome and the schedule
+    /// are the same at every count.
+    ///
+    /// # Errors
+    ///
+    /// As [`SequentialLearner::learn`].
+    pub fn learn_with_threads(&self, _threads: usize) -> Result<LearnResult> {
+        self.learn()
     }
 }
 
@@ -561,7 +549,7 @@ mod tests {
         assert!(limited.implications.len() <= full.implications.len());
 
         // Bit-identical across thread counts: the truncation is computed
-        // before the sharded passes.
+        // before the passes run.
         for threads in [2, 4] {
             let sharded = learner.learn_with_threads(threads).unwrap();
             assert_eq!(

@@ -8,13 +8,19 @@
 //! (or backward/forward) analysis can reach, such as the `G9=0 → F2=0` example
 //! of Figure 2 of the paper. A contradiction during this simulation means the
 //! learning target itself cannot take the assumed value, i.e. it is tied.
+//!
+//! Targets are coupled: a tie proven at one target is forced as a constant
+//! for every later one. The learning engine runs [`run_batched`], which packs
+//! up to 64 targets per forward pass and restarts a batch after the lane that
+//! proves a tie, so its outcome is the serial one. It runs on the caller's
+//! thread at every thread count. [`run`] is the scalar reference, one forward
+//! simulation per target.
 
 use crate::relation::{CrossImplication, Implication, Literal};
-use crate::single_node::{keep_relation, SupportMap};
+use crate::single_node::{keep_relation, SupportEntries, SupportEntry, SupportKey, SupportMap};
 use crate::tie::{TieKind, TiedGate};
 use sla_netlist::{Netlist, NodeId};
 use sla_sim::{Injection, InjectionSim, SimOptions, TraceRead};
-use std::collections::BTreeMap;
 
 /// Everything learned by a multiple-node pass.
 #[derive(Debug, Default)]
@@ -50,24 +56,23 @@ struct Target {
 /// Support entry `(stem, w, t)` means `stem=w @ 0` produces `node=produced`
 /// at frame `t`; the hypothesis `node = !produced @ horizon` therefore forces
 /// `stem = !w @ horizon - t`.
-fn prepare_target(node: NodeId, produced: bool, entries: &[(NodeId, bool, usize)]) -> Target {
-    let horizon = entries.iter().map(|&(_, _, t)| t).max().unwrap_or(0);
-    // A BTreeMap: `into_iter` below hands the slots to the injection list,
-    // and the determinism contract (fast-map-iteration rule) requires every
-    // iterated map to carry an input-defined order.
-    let mut by_slot: BTreeMap<(NodeId, usize), bool> = BTreeMap::new();
-    let mut contradictory = false;
-    for &(stem, w, t) in entries {
-        let frame = horizon - t;
-        if by_slot.insert((stem, frame), !w) == Some(w) {
-            contradictory = true;
-        }
-    }
-    let mut injections: Vec<Injection> = by_slot
-        .into_iter()
-        .map(|((stem, frame), value)| Injection::new(stem, value, frame))
+fn prepare_target<I>(node: NodeId, produced: bool, entries: I) -> Target
+where
+    I: IntoIterator<Item = SupportEntry>,
+    I::IntoIter: Clone,
+{
+    let entries = entries.into_iter();
+    let horizon = entries.clone().map(|(_, _, t)| t).max().unwrap_or(0);
+    let mut injections: Vec<Injection> = entries
+        .map(|(stem, w, t)| Injection::new(stem, !w, horizon - t))
         .collect();
-    injections.sort_by_key(|i| (i.frame, i.node, i.value));
+    injections.sort_unstable_by_key(|i| (i.frame, i.node, i.value));
+    injections.dedup();
+    // Two entries asking one stem-and-frame slot for different values leave
+    // both values in the sorted list, side by side.
+    let contradictory = injections
+        .windows(2)
+        .any(|w| (w[0].frame, w[0].node) == (w[1].frame, w[1].node));
     // The hypothesis itself is injected too: it can enable further propagation
     // and a contradiction on it is exactly the tie-learning conflict.
     injections.push(Injection::new(node, !produced, horizon));
@@ -80,7 +85,7 @@ fn prepare_target(node: NodeId, produced: bool, entries: &[(NodeId, bool, usize)
 
 /// One entry of the sorted target list: the `(node, value)` key and its
 /// support entries.
-type TargetEntry<'a> = (&'a (NodeId, bool), &'a Vec<(NodeId, bool, usize)>);
+type TargetEntry<'a> = (SupportKey, SupportEntries<'a>);
 
 /// Sorted, truncated learning-target order: most-supported first (they yield
 /// the most relations), ties broken by node id and value.
@@ -89,12 +94,7 @@ fn sorted_targets(support: &SupportMap, max_targets: usize) -> Vec<TargetEntry<'
         .iter()
         .filter(|(_, entries)| entries.len() >= 2)
         .collect();
-    targets.sort_by(|a, b| {
-        b.1.len()
-            .cmp(&a.1.len())
-            .then(a.0 .0.cmp(&b.0 .0))
-            .then(a.0 .1.cmp(&b.0 .1))
-    });
+    targets.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
     if max_targets > 0 {
         targets.truncate(max_targets);
     }
@@ -131,7 +131,7 @@ fn harvest_target<T: TraceRead>(
         if learn_cross_frame {
             for t in 0..target.horizon {
                 for (other, value) in trace.binary_assignments(t) {
-                    if other == node || netlist.node(other).is_input() {
+                    if other == node || netlist.kind(other).is_input() {
                         continue;
                     }
                     outcome.cross_frame.push(CrossImplication {
@@ -181,11 +181,8 @@ pub fn run(
     let netlist = sim.netlist();
     let mut outcome = MultiNodeOutcome::default();
 
-    for (&(node, produced), entries) in sorted_targets(support, max_targets) {
-        if netlist.node(node).is_input() {
-            continue;
-        }
-        if sim.tied().iter().any(|&(n, _)| n == node) {
+    for ((node, produced), entries) in sorted_targets(support, max_targets) {
+        if netlist.kind(node).is_input() || sim.is_tied(node) {
             continue;
         }
         let target = prepare_target(node, produced, entries);
@@ -234,7 +231,7 @@ pub fn run(
 /// at the next target under the updated state.
 ///
 /// The batch width adapts to the tie density: every restart halves the next
-/// batch (down to [`MIN_BATCH`]) because on tie-dense target lists a wide
+/// batch (down to `MIN_BATCH`) because on tie-dense target lists a wide
 /// batch mostly simulates lanes that are thrown away, and every conflict-free
 /// batch doubles it again (up to 64). The restart and wasted-lane counts are
 /// reported in the outcome.
@@ -258,16 +255,7 @@ pub fn run_batched(
     let mut cap = MAX_BATCH;
     let mut i = 0;
     loop {
-        let step = plan_step(
-            sim.netlist(),
-            &targets,
-            &mut prepared,
-            sim.tied(),
-            &[],
-            i,
-            cap,
-        );
-        match step {
+        match plan_step(sim, &targets, &mut prepared, i, cap) {
             None => break,
             Some(PlannedStep::Tie {
                 idx,
@@ -322,10 +310,6 @@ struct BatchPlan {
     /// Scan position the serial order continues from when the batch turns out
     /// conflict-free.
     next_i: usize,
-    /// Number of certain (contradictory-target) ties planned before this
-    /// batch within the current speculation round; the batch's simulation
-    /// state is the round's base state plus that overlay prefix.
-    overlay_len: usize,
 }
 
 /// One step of the serial learning schedule, as produced by [`plan_step`].
@@ -342,31 +326,23 @@ enum PlannedStep {
 }
 
 /// Plans the next step of the serial schedule from scan position `i` under
-/// the tied state `tied ∪ overlay`: skips input/already-tied targets, then
-/// either reports the contradictory head as a certain tie or gathers a batch
-/// of up to `cap` simulatable targets (a contradictory target is a batch
-/// boundary: its tie mutates the state every later target sees). Returns
-/// `None` when the target list is exhausted.
-///
-/// This is the exact gather logic of the single-thread pass, factored out so
-/// the sharded pass can *speculatively* plan several steps ahead — planning
-/// is pure given the tied state, and certain ties extend the overlay without
-/// any simulation.
+/// the simulator's tied state: skips input/already-tied targets, then either
+/// reports the contradictory head as a certain tie or gathers a batch of up to
+/// `cap` simulatable targets (a contradictory target is a batch boundary: its
+/// tie mutates the state every later target sees). Returns `None` when the
+/// target list is exhausted.
 fn plan_step(
-    netlist: &Netlist,
+    sim: &InjectionSim<'_>,
     targets: &[TargetEntry<'_>],
     prepared: &mut [Option<Target>],
-    tied: &[(NodeId, bool)],
-    overlay: &[(NodeId, bool)],
     mut i: usize,
     cap: usize,
 ) -> Option<PlannedStep> {
-    let is_tied = |node: NodeId| {
-        tied.iter().any(|&(n, _)| n == node) || overlay.iter().any(|&(n, _)| n == node)
-    };
+    let netlist = sim.netlist();
+    let skip = |node: NodeId| netlist.kind(node).is_input() || sim.is_tied(node);
     let prepare = |prepared: &mut [Option<Target>], at: usize| {
         if prepared[at].is_none() {
-            let (&(node, produced), entries) = targets[at];
+            let ((node, produced), entries) = targets[at].clone();
             prepared[at] = Some(prepare_target(node, produced, entries));
         }
     };
@@ -374,8 +350,8 @@ fn plan_step(
         if i >= targets.len() {
             return None;
         }
-        let &(node, produced) = targets[i].0;
-        if netlist.node(node).is_input() || is_tied(node) {
+        let (node, produced) = targets[i].0;
+        if skip(node) {
             i += 1;
             continue;
         }
@@ -390,8 +366,8 @@ fn plan_step(
         let mut batch: Vec<(usize, NodeId, bool)> = vec![(i, node, produced)];
         let mut j = i + 1;
         while j < targets.len() && batch.len() < cap {
-            let &(n2, p2) = targets[j].0;
-            if netlist.node(n2).is_input() || is_tied(n2) {
+            let (n2, p2) = targets[j].0;
+            if skip(n2) {
                 j += 1;
                 continue;
             }
@@ -402,17 +378,11 @@ fn plan_step(
             batch.push((j, n2, p2));
             j += 1;
         }
-        return Some(PlannedStep::Batch(BatchPlan {
-            batch,
-            next_i: j,
-            overlay_len: overlay.len(),
-        }));
+        return Some(PlannedStep::Batch(BatchPlan { batch, next_i: j }));
     }
 }
 
-/// Runs the packed forward pass of one planned batch. Pure with respect to
-/// the simulator (reads its tied/equivalence/mask state only), so speculative
-/// executions on clones produce the traces the serial order would.
+/// Runs the packed forward pass of one planned batch.
 fn simulate_plan(
     sim: &InjectionSim<'_>,
     prepared: &[Option<Target>],
@@ -442,6 +412,11 @@ fn simulate_plan(
 /// conflict-free lanes, and on the first conflicting lane records the tie,
 /// the restart and the wasted suffix, returning the conflicting target index
 /// (the serial scan resumes right after it). `None` means conflict-free.
+///
+/// Each lane is read at its own horizon frame. Unlike a single-node chunk,
+/// whose lanes all cover the same frames, a batch's horizons are scattered,
+/// so a node-major read of each needed frame would serve few lanes per pass
+/// (measured slower on the `learn_cold` designs).
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
     sim: &mut InjectionSim<'_>,
@@ -458,8 +433,7 @@ fn process_batch(
         let target = prepared[ti].as_ref().expect("batch lanes are prepared");
         outcome.targets_processed += 1;
         if trace.conflict().is_some() {
-            let horizon = target.horizon;
-            record_tie(sim, outcome, n2, p2, horizon);
+            record_tie(sim, outcome, n2, p2, target.horizon);
             outcome.batch_restarts += 1;
             outcome.wasted_lanes += batch.len() - k - 1;
             return Some(ti);
@@ -476,225 +450,6 @@ fn process_batch(
         );
     }
     None
-}
-
-/// One speculative simulation job of [`run_sharded`]: an owned snapshot of
-/// everything the packed forward pass needs, so worker threads never borrow
-/// the merge thread's mutable state.
-struct SpecJob<'a> {
-    /// Clone of the round's base simulator plus the certain-tie overlay
-    /// prefix of this batch.
-    sim: InjectionSim<'a>,
-    /// Per-lane injection sets (cloned from the prepared targets).
-    jobs: Vec<Vec<Injection>>,
-    /// Per-lane frame limits (`horizon + 1`).
-    limits: Vec<usize>,
-    /// Widest lane limit (the pass's `max_frames`).
-    max_frames: usize,
-    respect_seq_rules: bool,
-    /// Position among the round's batches (results are reordered by it).
-    seq: usize,
-}
-
-/// Runs multiple-node learning sharded across `threads` worker threads,
-/// producing **exactly** the outcome of [`run_batched`] — same relations,
-/// ties, target count and tie-restart accounting (`batch_restarts`,
-/// `wasted_lanes`) — and leaving the simulator's tied state identical.
-///
-/// Targets are coupled through discovered ties, so the work cannot be split
-/// by naive sharding without changing the serial schedule. Instead the
-/// single-thread schedule is executed *speculatively*: up to `threads`
-/// consecutive batches are planned ahead under the assumption that every one
-/// of them is conflict-free (certain ties from contradictory targets are
-/// applied during planning — they need no simulation), their packed forward
-/// passes run in parallel on clones of the current simulator state, and the
-/// results are then processed in serial order by the same code the
-/// single-thread pass uses. The first simulation-discovered conflict
-/// invalidates the remaining speculative traces, which are discarded and
-/// replanned under the updated tied state — wasted *machine* work, but the
-/// reported schedule (and therefore every output bit) is the serial one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded(
-    sim: &mut InjectionSim<'_>,
-    support: &SupportMap,
-    options: &SimOptions,
-    class_mask: Option<&[bool]>,
-    max_targets: usize,
-    learn_cross_frame: bool,
-    threads: usize,
-) -> MultiNodeOutcome {
-    if threads <= 1 {
-        return run_batched(
-            sim,
-            support,
-            options,
-            class_mask,
-            max_targets,
-            learn_cross_frame,
-        );
-    }
-    let netlist = sim.netlist();
-    let mut outcome = MultiNodeOutcome::default();
-    let targets = sorted_targets(support, max_targets);
-    let mut prepared: Vec<Option<Target>> = (0..targets.len()).map(|_| None).collect();
-
-    // One worker pool for the whole pass: rounds are frequent (every
-    // conflict squashes one), so per-round thread spawn/join would dominate
-    // tie-dense target lists. The workers run the owned-data twin of
-    // [`simulate_plan`].
-    sla_par::with_pool(
-        threads,
-        |_worker| (),
-        |(), job: SpecJob<'_>| {
-            let run_options = SimOptions {
-                max_frames: job.max_frames,
-                stop_on_repeat: false,
-                respect_seq_rules: job.respect_seq_rules,
-            };
-            let jobs: Vec<&[Injection]> = job.jobs.iter().map(|j| j.as_slice()).collect();
-            let packed = job
-                .sim
-                .run_batch_with_limits_packed(&jobs, &run_options, &job.limits);
-            (job.seq, packed)
-        },
-        |pool| {
-            let mut cap = MAX_BATCH;
-            let mut i = 0;
-            loop {
-                // Speculative plan: up to `threads` batches ahead, assuming
-                // conflict-free outcomes (the common case — multi-node ties are rare
-                // on most target lists).
-                let mut steps: Vec<PlannedStep> = Vec::new();
-                let mut overlay: Vec<(NodeId, bool)> = Vec::new();
-                let mut plan_i = i;
-                let mut plan_cap = cap;
-                let mut batches = 0usize;
-                while batches < threads {
-                    match plan_step(
-                        netlist,
-                        &targets,
-                        &mut prepared,
-                        sim.tied(),
-                        &overlay,
-                        plan_i,
-                        plan_cap,
-                    ) {
-                        None => break,
-                        Some(PlannedStep::Tie {
-                            idx,
-                            node,
-                            produced,
-                        }) => {
-                            overlay.push((node, produced));
-                            plan_i = idx + 1;
-                            steps.push(PlannedStep::Tie {
-                                idx,
-                                node,
-                                produced,
-                            });
-                        }
-                        Some(PlannedStep::Batch(plan)) => {
-                            plan_i = plan.next_i;
-                            plan_cap = (plan_cap * 2).min(MAX_BATCH);
-                            batches += 1;
-                            steps.push(PlannedStep::Batch(plan));
-                        }
-                    }
-                }
-                if steps.is_empty() {
-                    break;
-                }
-
-                // Parallel speculative simulation of the planned batches on the
-                // persistent worker pool, each job carrying a clone of the round's
-                // base state plus its certain-tie overlay prefix (cloned on this
-                // thread, so the workers never borrow the mutable merge state).
-                let mut batch_count = 0usize;
-                for step in &steps {
-                    let PlannedStep::Batch(plan) = step else {
-                        continue;
-                    };
-                    let mut worker_sim = sim.clone();
-                    for &(node, value) in &overlay[..plan.overlay_len] {
-                        worker_sim.add_tied(node, value);
-                    }
-                    let lanes: Vec<&Target> = plan
-                        .batch
-                        .iter()
-                        .map(|&(at, _, _)| prepared[at].as_ref().expect("batch lanes are prepared"))
-                        .collect();
-                    pool.submit(SpecJob {
-                        sim: worker_sim,
-                        jobs: lanes.iter().map(|t| t.injections.clone()).collect(),
-                        limits: lanes.iter().map(|t| t.horizon + 1).collect(),
-                        max_frames: lanes
-                            .iter()
-                            .map(|t| t.horizon + 1)
-                            .max()
-                            .expect("non-empty batch"),
-                        respect_seq_rules: options.respect_seq_rules,
-                        seq: batch_count,
-                    });
-                    batch_count += 1;
-                }
-                let mut traces: Vec<Option<sla_sim::PackedTraces>> =
-                    (0..batch_count).map(|_| None).collect();
-                for _ in 0..batch_count {
-                    let (seq, packed) = pool.recv();
-                    traces[seq] = Some(packed);
-                }
-
-                // Serial processing: identical code and order to the single-thread
-                // pass; the first conflict discards the remaining speculation.
-                let mut conflicted = false;
-                let mut trace_idx = 0usize;
-                for step in &steps {
-                    match step {
-                        PlannedStep::Tie {
-                            idx,
-                            node,
-                            produced,
-                        } => {
-                            outcome.targets_processed += 1;
-                            let horizon = prepared[*idx]
-                                .as_ref()
-                                .expect("planned tie is prepared")
-                                .horizon;
-                            record_tie(sim, &mut outcome, *node, *produced, horizon);
-                            i = idx + 1;
-                        }
-                        PlannedStep::Batch(plan) => {
-                            let batch_traces = traces[trace_idx].as_ref().expect("round result");
-                            trace_idx += 1;
-                            match process_batch(
-                                sim,
-                                &prepared,
-                                &plan.batch,
-                                batch_traces,
-                                class_mask,
-                                learn_cross_frame,
-                                &mut outcome,
-                            ) {
-                                Some(conflict_at) => {
-                                    cap = (cap / 2).max(MIN_BATCH);
-                                    i = conflict_at + 1;
-                                    conflicted = true;
-                                }
-                                None => {
-                                    cap = (cap * 2).min(MAX_BATCH);
-                                    i = plan.next_i;
-                                }
-                            }
-                            if conflicted {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-    outcome
 }
 
 /// Widest packed batch (one lane per bit of the simulation words).
@@ -753,14 +508,14 @@ mod tests {
         let i2 = n.require("i2").unwrap();
         let i3 = n.require("i3").unwrap();
         let g9 = n.require("g9").unwrap();
-        let t = prepare_target(g9, true, &[(i2, false, 1), (i3, false, 1)]);
+        let t = prepare_target(g9, true, [(i2, false, 1), (i3, false, 1)]);
         assert_eq!(t.horizon, 1);
         assert!(!t.contradictory);
         assert!(t.injections.contains(&Injection::new(i2, true, 0)));
         assert!(t.injections.contains(&Injection::new(i3, true, 0)));
         assert!(t.injections.contains(&Injection::new(g9, false, 1)));
         // Contradictory support: the same stem must be both 0 and 1 at frame 0.
-        let t2 = prepare_target(g9, true, &[(i2, false, 1), (i2, true, 1)]);
+        let t2 = prepare_target(g9, true, [(i2, false, 1), (i2, true, 1)]);
         assert!(t2.contradictory);
     }
 
@@ -954,47 +709,6 @@ mod tests {
             "{} lanes wasted over {} restarts",
             batched.wasted_lanes, batched.batch_restarts
         );
-    }
-
-    /// The speculative sharded pass must replay the serial schedule bit for
-    /// bit — including on the tie-dense list, where almost every speculation
-    /// round is squashed by a conflict.
-    #[test]
-    fn sharded_run_matches_batched_run_including_restart_accounting() {
-        for netlist in [figure2_core(), tie_dense(12)] {
-            let stems = sla_netlist::stems::fanout_stems(&netlist);
-            let options = SimOptions::default();
-            let base = InjectionSim::new(&netlist).unwrap();
-            let single = single_node::run(&base, &stems, &options, None, false);
-            let mut reference_sim = InjectionSim::new(&netlist).unwrap();
-            let reference =
-                run_batched(&mut reference_sim, &single.support, &options, None, 0, true);
-            for threads in [1, 2, 3, 8] {
-                let mut sharded_sim = InjectionSim::new(&netlist).unwrap();
-                let sharded = run_sharded(
-                    &mut sharded_sim,
-                    &single.support,
-                    &options,
-                    None,
-                    0,
-                    true,
-                    threads,
-                );
-                assert_eq!(reference.implications, sharded.implications, "t={threads}");
-                assert_eq!(reference.ties, sharded.ties, "t={threads}");
-                assert_eq!(reference.cross_frame, sharded.cross_frame, "t={threads}");
-                assert_eq!(
-                    reference.targets_processed, sharded.targets_processed,
-                    "t={threads}"
-                );
-                assert_eq!(
-                    reference.batch_restarts, sharded.batch_restarts,
-                    "t={threads}"
-                );
-                assert_eq!(reference.wasted_lanes, sharded.wasted_lanes, "t={threads}");
-                assert_eq!(reference_sim.tied(), sharded_sim.tied(), "t={threads}");
-            }
-        }
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl Implication {
 
     /// Classifies the implication by its endpoints.
     pub fn kind(&self, netlist: &Netlist) -> RelationKind {
-        let a = netlist.node(self.antecedent.node);
-        let c = netlist.node(self.consequent.node);
+        let a = netlist.kind(self.antecedent.node);
+        let c = netlist.kind(self.consequent.node);
         let seq_a = a.is_sequential();
         let seq_c = c.is_sequential();
         if seq_a && seq_c {

@@ -395,7 +395,15 @@ impl Netlist {
         &self.clocks
     }
 
+    /// Functional kind of `id`, without materializing a [`Node`] view (which
+    /// also resolves the node's name).
+    #[inline]
+    pub fn kind(&self, id: NodeId) -> NodeKind {
+        self.kinds[id.index()]
+    }
+
     /// Returns `true` if `id` is a sequential element.
+    #[inline]
     pub fn is_sequential(&self, id: NodeId) -> bool {
         self.kinds[id.index()].is_sequential()
     }

@@ -16,11 +16,10 @@
 //!   keeps any order-sensitive reduction identical to the serial loop.
 //! * [`with_pool`] — a scoped worker pool with per-worker state and a
 //!   submit/collect handle, for pipelines that interleave parallel jobs with
-//!   serial merge steps (the ATPG engine's in-order speculation window,
-//!   speculative learning batches). Workers live for the whole pool scope,
-//!   so per-worker setup is paid once per scope, not per job; the ATPG
-//!   engine opens one scope per `advance` call, so a streamed request builds
-//!   each worker's test generator once.
+//!   serial merge steps (the ATPG engine's in-order speculation window).
+//!   Workers live for the whole pool scope, so per-worker setup is paid once
+//!   per scope, not per job; the ATPG engine opens one scope per `advance`
+//!   call, so a streamed request builds each worker's test generator once.
 //!
 //! Everything is built on `std::thread::scope`: no extra dependencies, and
 //! borrowed data (netlists, simulators, fault lists) crosses into workers
@@ -436,7 +435,7 @@ mod tests {
     #[test]
     fn with_pool_interleaves_waves() {
         // Two waves where the second depends on the merged first: the pattern
-        // of the speculative learning batches.
+        // of a pipeline whose next submission depends on an ordered merge.
         let result = with_pool(
             3,
             |_| (),

@@ -157,6 +157,9 @@ pub struct InjectionSim<'a> {
     eval: CombEvaluator<'a>,
     equiv: Option<EquivClasses>,
     tied: Vec<(NodeId, bool)>,
+    /// Per-node flag beside `tied`, so membership is one load; empty until
+    /// the first tie is registered.
+    is_tied: Vec<bool>,
     active_seq: Option<Vec<bool>>,
 }
 
@@ -171,6 +174,7 @@ impl<'a> InjectionSim<'a> {
             eval: CombEvaluator::new(netlist)?,
             equiv: None,
             tied: Vec::new(),
+            is_tied: Vec::new(),
             active_seq: None,
         })
     }
@@ -196,19 +200,37 @@ impl<'a> InjectionSim<'a> {
 
     /// Replaces the set of known tied gates, forced as constants in every frame.
     pub fn set_tied(&mut self, tied: Vec<(NodeId, bool)>) {
+        self.is_tied.clear();
+        for &(node, _) in &tied {
+            self.flag_tied(node);
+        }
         self.tied = tied;
     }
 
     /// Adds one tied gate.
     pub fn add_tied(&mut self, node: NodeId, value: bool) {
-        if !self.tied.iter().any(|&(n, _)| n == node) {
+        if !self.is_tied(node) {
+            self.flag_tied(node);
             self.tied.push((node, value));
         }
+    }
+
+    fn flag_tied(&mut self, node: NodeId) {
+        if self.is_tied.len() <= node.index() {
+            self.is_tied.resize(self.eval.netlist().num_nodes(), false);
+        }
+        self.is_tied[node.index()] = true;
     }
 
     /// Currently registered tied gates.
     pub fn tied(&self) -> &[(NodeId, bool)] {
         &self.tied
+    }
+
+    /// Returns `true` when `node` is among the registered tied gates.
+    #[inline]
+    pub fn is_tied(&self, node: NodeId) -> bool {
+        self.is_tied.get(node.index()).copied().unwrap_or(false)
     }
 
     /// Restricts propagation across sequential elements to those for which the

@@ -373,6 +373,26 @@ impl PackedTraces {
         self.lane_frames.len()
     }
 
+    /// Number of frames simulated by the longest lane.
+    pub fn num_frames(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// The packed words of one frame, indexed by node, together with the
+    /// mask of lanes whose trace reaches that frame. Bits of other lanes in
+    /// the words are left over from a lane that stopped earlier and must be
+    /// ignored. This is the node-major read: one word per node covers every
+    /// lane.
+    pub fn frame(&self, frame: usize) -> (u64, &[PackedWord]) {
+        let live = self
+            .lane_frames
+            .iter()
+            .enumerate()
+            .filter(|&(_, &frames)| frames > frame)
+            .fold(0u64, |m, (lane, _)| m | 1u64 << lane);
+        (live, &self.frames[frame])
+    }
+
     /// The trace of one lane, as a zero-copy view.
     pub fn lane(&self, lane: usize) -> LaneTrace<'_> {
         assert!(lane < self.lanes());

@@ -265,3 +265,68 @@ fn sharded_pipeline_matches_serial_on_structured_workloads() {
         }
     }
 }
+
+/// Learning on designs the size of the end-to-end benchmark's `learn_cold`
+/// requests, one per generator class, is bit-identical at 1, 2 and 4 threads:
+/// the implication database in insertion order, the ties, the cross-frame
+/// relations and every count of `LearnStats`. Each design fills more than
+/// four 32-stem chunks, where the random designs above fill at most two.
+#[test]
+fn learning_is_bit_identical_across_threads_on_benchmark_sized_designs() {
+    use seqlearn::circuits::{
+        industrial_circuit, retimed_circuit, IndustrialConfig, RetimedConfig,
+    };
+    use seqlearn::learn::single_node::STEMS_PER_BATCH;
+    let designs = [
+        synthesize(&SynthConfig::sized("lc-synth", 36, 360, 11)),
+        retimed_circuit(&RetimedConfig::sized("lc-retimed", 50, 500, 12)),
+        industrial_circuit(&IndustrialConfig::sized("lc-industrial", 27, 270, 13)),
+    ];
+    for netlist in &designs {
+        let name = netlist.name();
+        let stems = seqlearn::netlist::stems::fanout_stems(netlist).len();
+        assert!(stems > 4 * STEMS_PER_BATCH, "{name}: only {stems} stems");
+        let config = LearnOptions::builder().cross_frame(true).build();
+        let learner = SequentialLearner::new(netlist, config);
+        let reference = learner.learn_with_threads(1).unwrap();
+        assert!(reference.stats.multi_node_targets > 0, "{name}");
+        for threads in [2, 4] {
+            let run = learner.learn_with_threads(threads).unwrap();
+            assert_eq!(
+                reference.implications.iter().collect::<Vec<_>>(),
+                run.implications.iter().collect::<Vec<_>>(),
+                "{name}: database diverged at {threads} threads"
+            );
+            assert_eq!(reference.tied, run.tied, "{name} t={threads}");
+            assert_eq!(reference.cross_frame, run.cross_frame, "{name} t={threads}");
+            let (a, b) = (&reference.stats, &run.stats);
+            assert_eq!(
+                (
+                    a.stems,
+                    a.classes,
+                    a.multi_node_targets,
+                    a.total,
+                    a.sequential
+                ),
+                (
+                    b.stems,
+                    b.classes,
+                    b.multi_node_targets,
+                    b.total,
+                    b.sequential
+                ),
+                "{name} t={threads}"
+            );
+            assert_eq!(
+                (a.tied_combinational, a.tied_sequential, a.cross_frame),
+                (b.tied_combinational, b.tied_sequential, b.cross_frame),
+                "{name} t={threads}"
+            );
+            assert_eq!(
+                (a.budget_spent, a.budget_exhausted),
+                (b.budget_spent, b.budget_exhausted),
+                "{name} t={threads}"
+            );
+        }
+    }
+}
