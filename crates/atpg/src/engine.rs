@@ -273,7 +273,7 @@ pub struct AtpgEngine<'a> {
     netlist: &'a Netlist,
     config: AtpgOptions,
     learned: LearnedData,
-    levels: Levelization,
+    levels: Levelization<'a>,
     /// Fault-injection hook: the search for this fault index panics instead
     /// of running, exercising the quarantine path deterministically.
     panic_at: Option<usize>,
@@ -447,7 +447,7 @@ impl<'a> AtpgEngine<'a> {
         sla_par::with_pool(
             threads,
             |_worker| {
-                TestGenerator::with_shared(self.netlist, &self.levels, &adjacency, self.config)
+                TestGenerator::with_shared(self.netlist, self.levels, &adjacency, self.config)
             },
             |generator, idx: usize| (idx, self.generate_quarantined(generator, faults, idx)),
             |pool| {

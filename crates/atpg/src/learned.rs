@@ -161,11 +161,6 @@ pub struct LiteralAdjacency {
     /// consequent holds `offset` frames after the antecedent's frame (the
     /// offset may be negative; a contrapositive negates it).
     cross_targets: Vec<(u32, i32)>,
-    /// Nodes with at least one (same- or cross-frame) edge. Contrapositive
-    /// closure makes the antecedent and consequent node sets identical, so
-    /// these are exactly the nodes the implication layer can ever see events
-    /// on.
-    relevant: Vec<u32>,
 }
 
 impl LiteralAdjacency {
@@ -257,25 +252,11 @@ impl LiteralAdjacency {
             (cross_offsets, cross_targets)
         };
 
-        let has_cross = |n: u32| {
-            if cross_offsets.is_empty() {
-                return false;
-            }
-            let lit0 = n as usize * 2;
-            cross_offsets[lit0 + 2] > cross_offsets[lit0]
-        };
-        let relevant = (0..num_nodes as u32)
-            .filter(|&n| {
-                let lit0 = n as usize * 2;
-                offsets[lit0 + 2] > offsets[lit0] || has_cross(n)
-            })
-            .collect();
         LiteralAdjacency {
             offsets,
             targets,
             cross_offsets,
             cross_targets,
-            relevant,
         }
     }
 
@@ -328,11 +309,6 @@ impl LiteralAdjacency {
     /// Number of directed cross-frame edges (contrapositives included).
     pub fn num_cross_edges(&self) -> usize {
         self.cross_targets.len()
-    }
-
-    /// Nodes with at least one edge, ascending.
-    pub fn relevant_nodes(&self) -> &[u32] {
-        &self.relevant
     }
 
     /// Returns `true` when `node` participates in at least one implication
@@ -494,45 +470,17 @@ struct LevelMark {
     seen: u32,
 }
 
-/// Read access to the good-machine window for the incremental layer's update
-/// paths: the event path holds the flat `(frame × node)` array, the scan path
-/// per-frame vectors. Static dispatch keeps the same-frame hot loop free of a
-/// per-read branch.
-trait GoodValues {
-    fn at(&self, frame: usize, node: usize) -> Logic3;
-}
-
-struct FlatValues<'v> {
-    values: &'v [Logic3],
-    num_nodes: usize,
-}
-
-impl GoodValues for FlatValues<'_> {
-    #[inline]
-    fn at(&self, frame: usize, node: usize) -> Logic3 {
-        self.values[frame * self.num_nodes + node]
-    }
-}
-
-struct FrameValues<'v>(&'v [Vec<Logic3>]);
-
-impl GoodValues for FrameValues<'_> {
-    #[inline]
-    fn at(&self, frame: usize, node: usize) -> Logic3 {
-        self.0[frame][node]
-    }
-}
-
 /// An [`ImplicationLayer`] maintained incrementally across the decide /
 /// backtrack steps of a branch-and-bound search.
 ///
 /// Protocol: after every (re)simulation of the good machine, call
-/// [`IncrementalLayer::update`] with the current decision depth; before
-/// re-deciding a flipped decision, call [`IncrementalLayer::pop_to`] with the
-/// number of levels that remain valid (the base level plus one level per
-/// unchanged decision). `update` only scans for values that became binary
-/// since the parent level and fires the implications of exactly those
-/// literals; `pop_to` unwinds the hint and seen trails.
+/// [`IncrementalLayer::update_events`] with the current decision depth and
+/// the slots whose value became binary; before re-deciding a flipped
+/// decision, call [`IncrementalLayer::pop_to`] with the number of levels that
+/// remain valid (the base level plus one level per unchanged decision).
+/// `update_events` fires the implications of exactly the new literals (a slot
+/// already processed at a live level is skipped); `pop_to` unwinds the hint
+/// and seen trails.
 #[derive(Debug, Clone)]
 pub struct IncrementalLayer<'a> {
     adj: &'a LiteralAdjacency,
@@ -581,74 +529,13 @@ impl<'a> IncrementalLayer<'a> {
     }
 
     /// Opens level `level` (which must equal the number of live levels) and
-    /// processes every good-machine value that became binary since the parent
-    /// level. Returns the conflict flag.
-    ///
-    /// `from_frame` is the earliest frame the triggering event (decision or
-    /// flip) can influence: forward simulation never changes a frame before
-    /// the frame of the assignment, so earlier frames need no rescan. Pass 0
-    /// for the initial, decision-free search point.
-    ///
-    /// `parent_good` may carry the good-machine values of the *parent* level
-    /// (sound only on plain decision steps, where the previous search point
-    /// is the parent): frames with identical values hold no new events and
-    /// are skipped with one slice compare.
-    pub fn update(
-        &mut self,
-        level: usize,
-        good: &[Vec<Logic3>],
-        from_frame: usize,
-        parent_good: Option<&[Logic3]>,
-    ) -> bool {
-        assert_eq!(level, self.levels.len(), "levels must be pushed in order");
-        self.levels.push(LevelMark {
-            hints: u32::try_from(self.hint_trail.len()).expect("hint trail fits u32"),
-            seen: u32::try_from(self.seen_trail.len()).expect("seen trail fits u32"),
-        });
-        if self.hints.is_empty() {
-            return false;
-        }
-        let mut conflict = self.conflict_level.is_some();
-        let adj = self.adj;
-        let chase = self.mode == LearningMode::KnownValue;
-        self.queue.clear();
-        let view = FrameValues(good);
-        for (frame, values) in good.iter().enumerate().take(self.frames).skip(from_frame) {
-            let base = frame * self.num_nodes;
-            if let Some(parent) = parent_good {
-                if parent[base..base + self.num_nodes] == values[..] {
-                    continue; // value-identical frame: no new events
-                }
-            }
-            // Only nodes with implication edges can fire events or carry
-            // hints; the rest of the frame is irrelevant to the layer.
-            for &nidx in adj.relevant_nodes() {
-                if self.process_literal(frame as u32, nidx, &view, chase) {
-                    conflict = true;
-                }
-            }
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let (frame, lit) = self.queue[head];
-            head += 1;
-            if self.fire_consequents(frame, lit, &view, true) {
-                conflict = true;
-            }
-        }
-        if conflict && self.conflict_level.is_none() {
-            self.conflict_level = Some(level);
-        }
-        conflict
-    }
-
-    /// Event-driven variant of [`IncrementalLayer::update`]: instead of
-    /// scanning the window for values that became binary since the parent
-    /// level, processes exactly the given change events. `values` is the flat
+    /// processes the given change events. `values` is the flat
     /// `(frame * num_nodes + node)` good-machine array and `events` lists the
     /// slots whose value became binary since the parent level (the change
     /// stream of [`sla_sim::EventSim::assign`], or its initial binary slots
-    /// for level 0). Returns the conflict flag.
+    /// for level 0). Slots already processed at a live level are skipped, so
+    /// passing every binary slot gives the same result. Returns the conflict
+    /// flag.
     pub fn update_events(&mut self, level: usize, values: &[Logic3], events: &[u32]) -> bool {
         assert_eq!(level, self.levels.len(), "levels must be pushed in order");
         self.levels.push(LevelMark {
@@ -661,10 +548,6 @@ impl<'a> IncrementalLayer<'a> {
         let mut conflict = self.conflict_level.is_some();
         let chase = self.mode == LearningMode::KnownValue;
         self.queue.clear();
-        let view = FlatValues {
-            values,
-            num_nodes: self.num_nodes,
-        };
         for &slot in events {
             let slot = slot as usize;
             let node = (slot % self.num_nodes) as u32;
@@ -674,7 +557,7 @@ impl<'a> IncrementalLayer<'a> {
             if !self.adj.node_has_edges(node) {
                 continue;
             }
-            if self.process_literal(frame as u32, node, &view, chase) {
+            if self.process_literal(frame as u32, node, values, chase) {
                 conflict = true;
             }
         }
@@ -682,7 +565,7 @@ impl<'a> IncrementalLayer<'a> {
         while head < self.queue.len() {
             let (frame, lit) = self.queue[head];
             head += 1;
-            if self.fire_consequents(frame, lit, &view, true) {
+            if self.fire_consequents(frame, lit, values, true) {
                 conflict = true;
             }
         }
@@ -696,21 +579,13 @@ impl<'a> IncrementalLayer<'a> {
     /// skips non-binary or already-seen slots, marks the seen trail, reports
     /// a conflict if a previously derived hint is contradicted, and fires the
     /// literal's consequents (queued for transitive chasing in known-value
-    /// mode, inline otherwise). Shared by the scan path
-    /// ([`IncrementalLayer::update`]) and the event path
-    /// ([`IncrementalLayer::update_events`]) so the two cannot drift.
-    /// Returns `true` when a contradiction was observed.
-    fn process_literal<V: GoodValues>(
-        &mut self,
-        frame: u32,
-        node: u32,
-        values: &V,
-        chase: bool,
-    ) -> bool {
-        let Some(b) = values.at(frame as usize, node as usize).to_bool() else {
+    /// mode, inline otherwise). Returns `true` when a contradiction was
+    /// observed.
+    fn process_literal(&mut self, frame: u32, node: u32, values: &[Logic3], chase: bool) -> bool {
+        let slot = frame as usize * self.num_nodes + node as usize;
+        let Some(b) = values[slot].to_bool() else {
             return false;
         };
-        let slot = frame as usize * self.num_nodes + node as usize;
         if self.seen[slot] {
             return false;
         }
@@ -739,13 +614,7 @@ impl<'a> IncrementalLayer<'a> {
     /// hints go on the trail; in chase mode a fresh hint is queued so its own
     /// consequents fire too. Returns `true` when a contradiction was
     /// observed.
-    fn fire_consequents<V: GoodValues>(
-        &mut self,
-        frame: u32,
-        lit: u32,
-        values: &V,
-        chase: bool,
-    ) -> bool {
+    fn fire_consequents(&mut self, frame: u32, lit: u32, values: &[Logic3], chase: bool) -> bool {
         let adj = self.adj;
         let mut conflict = false;
         for &c in adj.consequents(lit) {
@@ -765,13 +634,12 @@ impl<'a> IncrementalLayer<'a> {
     /// Derives one consequent literal `c` in `frame`. Returns `true` when a
     /// contradiction (binary value or existing hint against `c`) was
     /// observed.
-    fn derive<V: GoodValues>(&mut self, frame: u32, c: u32, values: &V, chase: bool) -> bool {
-        let c_node = (c >> 1) as usize;
+    fn derive(&mut self, frame: u32, c: u32, values: &[Logic3], chase: bool) -> bool {
         let c_value = c & 1 == 1;
-        if let Some(b) = values.at(frame as usize, c_node).to_bool() {
+        let slot = frame as usize * self.num_nodes + (c >> 1) as usize;
+        if let Some(b) = values[slot].to_bool() {
             return b != c_value;
         }
-        let slot = frame as usize * self.num_nodes + c_node;
         match decode_hint(self.hints[slot]) {
             Some(existing) if existing != c_value => true,
             Some(_) => false,
@@ -854,6 +722,14 @@ mod tests {
             .learn()
             .unwrap();
         LearnedData::from(&result)
+    }
+
+    /// Every binary slot of a flat good-machine array, ascending: what a
+    /// caller without a change stream passes to `update_events`.
+    fn binary_slots(values: &[Logic3]) -> Vec<u32> {
+        (0..values.len() as u32)
+            .filter(|&slot| values[slot as usize].is_binary())
+            .collect()
     }
 
     fn adjacency_for(n: &Netlist, learned: &LearnedData) -> LiteralAdjacency {
@@ -1005,14 +881,14 @@ mod tests {
         one_frame[f1.index()] = Logic3::One;
 
         let mut inc = IncrementalLayer::new(&adj, LearningMode::ForbiddenValue, 1, n.num_nodes());
-        assert!(!inc.update(0, std::slice::from_ref(&x_frame), 0, None));
+        assert!(!inc.update_events(0, &x_frame, &binary_slots(&x_frame)));
         assert_eq!(inc.hint(0, f2), None);
-        assert!(!inc.update(1, std::slice::from_ref(&one_frame), 0, None));
+        assert!(!inc.update_events(1, &one_frame, &binary_slots(&one_frame)));
         assert_eq!(inc.hint(0, f2), Some(false), "f1=1 forbids f2=1");
         inc.pop_to(1);
         assert_eq!(inc.hint(0, f2), None, "popping retracts the hint");
         // Re-deciding at the same level works after the pop.
-        assert!(!inc.update(1, std::slice::from_ref(&one_frame), 0, None));
+        assert!(!inc.update_events(1, &one_frame, &binary_slots(&one_frame)));
         assert_eq!(inc.hint(0, f2), Some(false));
     }
 
@@ -1267,8 +1143,8 @@ mod tests {
         bad[f2.index()] = Logic3::One;
 
         let mut inc = IncrementalLayer::new(&adj, LearningMode::KnownValue, 1, n.num_nodes());
-        assert!(!inc.update(0, std::slice::from_ref(&x_frame), 0, None));
-        assert!(inc.update(1, std::slice::from_ref(&bad), 0, None));
+        assert!(!inc.update_events(0, &x_frame, &binary_slots(&x_frame)));
+        assert!(inc.update_events(1, &bad, &binary_slots(&bad)));
         assert!(inc.conflict());
         inc.pop_to(1);
         assert!(!inc.conflict(), "conflict belongs to the popped level");

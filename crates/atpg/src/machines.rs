@@ -105,7 +105,12 @@ impl<'a> SearchMachines<'a> {
     /// and detection sets are settled from the machines' binary base slots
     /// through the same update an assignment uses. What remains per node is
     /// zero-filled or constant-filled allocation.
-    pub fn new(netlist: &'a Netlist, levels: &Levelization, window: usize, fault: Fault) -> Self {
+    pub fn new(
+        netlist: &'a Netlist,
+        levels: Levelization<'_>,
+        window: usize,
+        fault: Fault,
+    ) -> Self {
         let good = EventSim::with_levels(netlist, levels, window, None);
         let faulty = EventSim::with_levels(netlist, levels, window, Some(fault));
 
@@ -486,7 +491,7 @@ mod tests {
         let n = split();
         let levels = levelize(&n).unwrap();
         let g = n.require("g").unwrap();
-        let m = SearchMachines::new(&n, &levels, 1, Fault::output(g, true));
+        let m = SearchMachines::new(&n, levels, 1, Fault::output(g, true));
         let names: Vec<&str> = m.cone_gates().iter().map(|&id| n.node(id).name).collect();
         assert_eq!(names, vec!["g", "h"], "k is outside the fault cone");
         let h = n.require("h").unwrap();
@@ -502,7 +507,7 @@ mod tests {
         let h = n.require("h").unwrap();
         let a = n.require("a").unwrap();
         // g stuck-at-1: excite with a=1 (good g=0, faulty g=1).
-        let mut m = SearchMachines::new(&n, &levels, 1, Fault::output(g, true));
+        let mut m = SearchMachines::new(&n, levels, 1, Fault::output(g, true));
         assert!(!m.detected());
         let mark = m.mark();
         m.assign(0, a, true);
@@ -524,7 +529,7 @@ mod tests {
         let levels = levelize(&n).unwrap();
         let g = n.require("g").unwrap();
         let a = n.require("a").unwrap();
-        let mut m = SearchMachines::new(&n, &levels, 1, Fault::output(g, false));
+        let mut m = SearchMachines::new(&n, levels, 1, Fault::output(g, false));
         // a=1 makes the good g = 0 = stuck value: no effect anywhere.
         m.assign(0, a, true);
         assert!(!m.detected());
@@ -548,7 +553,7 @@ mod tests {
         let h = n.require("h").unwrap();
         let a = n.require("a").unwrap();
         let en = n.require("en").unwrap();
-        let mut m = SearchMachines::new(&n, &levels, 1, Fault::output(g, true));
+        let mut m = SearchMachines::new(&n, levels, 1, Fault::output(g, true));
         // Excite: a=1 → good g=0, faulty g=1; h blocked on en=X.
         let mark = m.mark();
         m.assign(0, a, true);

@@ -73,14 +73,13 @@ struct Decision {
 /// Sequential PODEM test generator.
 ///
 /// The levelization and the compiled implication adjacency are read-only
-/// during a search. A standalone generator ([`TestGenerator::new`]) owns
-/// them. The ATPG engine levelizes once and compiles the adjacency once per
-/// `advance` call, and every worker's generator borrows both
-/// ([`TestGenerator::with_shared`]).
+/// during a search. A standalone generator ([`TestGenerator::new`]) owns the
+/// adjacency. The ATPG engine compiles it once per `advance` call, and every
+/// worker's generator borrows it ([`TestGenerator::with_shared`]).
 #[derive(Debug)]
 pub struct TestGenerator<'a> {
     netlist: &'a Netlist,
-    levels: Cow<'a, Levelization>,
+    levels: Levelization<'a>,
     config: AtpgOptions,
     /// CSR adjacency over the learned implications.
     adjacency: Cow<'a, LiteralAdjacency>,
@@ -97,7 +96,7 @@ impl<'a> TestGenerator<'a> {
     pub fn new(netlist: &'a Netlist, config: AtpgOptions, learned: &LearnedData) -> Result<Self> {
         Ok(TestGenerator {
             netlist,
-            levels: Cow::Owned(levelize(netlist)?),
+            levels: levelize(netlist)?,
             config,
             adjacency: Cow::Owned(LiteralAdjacency::for_mode(
                 learned,
@@ -113,13 +112,13 @@ impl<'a> TestGenerator<'a> {
     /// ([`LiteralAdjacency::for_mode`]).
     pub fn with_shared(
         netlist: &'a Netlist,
-        levels: &'a Levelization,
+        levels: Levelization<'a>,
         adjacency: &'a LiteralAdjacency,
         config: AtpgOptions,
     ) -> Self {
         TestGenerator {
             netlist,
-            levels: Cow::Borrowed(levels),
+            levels,
             config,
             adjacency: Cow::Borrowed(adjacency),
         }
@@ -139,7 +138,7 @@ impl<'a> TestGenerator<'a> {
         // exhausted, the machines are rewound to their base state and widened
         // in place — the base values of the already-filled prefix frames are
         // unchanged by widening, so only the appended frames are evaluated.
-        let mut machines = SearchMachines::new(self.netlist, &self.levels, window, *fault);
+        let mut machines = SearchMachines::new(self.netlist, self.levels, window, *fault);
         loop {
             let (outcome, used_bt, used_dec) =
                 self.search_window(&mut machines, fault, backtracks_left);

@@ -196,7 +196,7 @@ fn atpg_frontier(c: &mut Criterion) {
     let fault = *faults
         .iter()
         .max_by_key(|f| {
-            SearchMachines::new(&netlist, &levels, 1, **f)
+            SearchMachines::new(&netlist, levels, 1, **f)
                 .cone_gates()
                 .len()
         })
@@ -207,7 +207,7 @@ fn atpg_frontier(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("frontier", |b| {
         b.iter(|| {
-            let mut machines = SearchMachines::new(&netlist, &levels, 8, fault);
+            let mut machines = SearchMachines::new(&netlist, levels, 8, fault);
             let mut acc = 0usize;
             for frame in 0..machines.window() {
                 for (k, &pi) in pis.iter().enumerate() {

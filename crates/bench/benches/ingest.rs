@@ -27,7 +27,9 @@ fn ingest_parse_levelize(c: &mut Criterion) {
             |b, text| {
                 b.iter(|| {
                     let n = parse_bench("ingest", text).expect("generated text parses");
-                    levelize(&n).expect("layered circuit is acyclic")
+                    levelize(&n)
+                        .expect("layered circuit is acyclic")
+                        .max_level()
                 })
             },
         );

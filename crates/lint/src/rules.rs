@@ -354,7 +354,7 @@ pub fn check_file(file: &SourceFile, findings: &mut Vec<Finding>) {
                     "thread-spawn",
                     format!(
                         "`std::{}` outside crates/par; all threading goes through the \
-                         sla-par runtime (run_indexed / with_pool)",
+                         sla-par runtime (with_pool)",
                         path.segs.join("::")
                     ),
                 ));

@@ -5,28 +5,32 @@
 //! inputs and sequential-element *outputs* are frame inputs; sequential-element
 //! *data fanins* are frame outputs (the next-state function).
 //!
-//! Since the arena-CSR refactor the levelization is computed once inside
-//! [`crate::NetlistBuilder::build`] and stored in the arena; [`levelize`] is a
-//! thin checked accessor that materializes the owned [`Levelization`] handle
-//! the engines hold on to (or reports the combinational cycle).
+//! The levelization is computed once inside [`crate::NetlistBuilder::build`]
+//! and stored in the arena. [`levelize`] is a checked accessor: it returns a
+//! [`Levelization`] that borrows the stored order and levels, or reports the
+//! combinational cycle. The handle is `Copy` and allocates nothing, so an
+//! engine keeps one next to its `&Netlist` instead of a copy of the arrays.
 
 use crate::{Netlist, NetlistError, NodeId, Result};
 
 /// A topological ordering of the combinational gates of a netlist, together
-/// with per-node logic levels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Levelization {
-    order: Vec<NodeId>,
-    level: Vec<u32>,
+/// with per-node logic levels, borrowed from the netlist arena.
+///
+/// Holding one proves the combinational logic is acyclic: [`levelize`] is the
+/// only way to get one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Levelization<'a> {
+    order: &'a [NodeId],
+    level: &'a [u32],
     max_level: u32,
 }
 
-impl Levelization {
+impl<'a> Levelization<'a> {
     /// Combinational gates in topological (fanin-before-fanout) order.
     /// Primary inputs and sequential elements are not included: they carry
     /// frame-input values and need no evaluation.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
+    pub fn order(&self) -> &'a [NodeId] {
+        self.order
     }
 
     /// Logic level of a node: inputs and sequential elements are level 0,
@@ -36,8 +40,8 @@ impl Levelization {
     }
 
     /// Per-node logic levels as a flat slice indexed by node id.
-    pub fn levels(&self) -> &[u32] {
-        &self.level
+    pub fn levels(&self) -> &'a [u32] {
+        self.level
     }
 
     /// Largest logic level in the circuit (sequential depth of one frame).
@@ -46,21 +50,18 @@ impl Levelization {
     }
 }
 
-/// Returns the [`Levelization`] of the combinational logic.
-///
-/// The order and levels are precomputed in the arena at build time, so this
-/// only copies two flat arrays (engines own their `Levelization` handle
-/// independently of the netlist's lifetime).
+/// Returns the [`Levelization`] of the combinational logic, a view of the
+/// order and levels the arena stored at build time.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the combinational gates form
 /// a cycle that is not broken by a sequential element.
-pub fn levelize(netlist: &Netlist) -> Result<Levelization> {
+pub fn levelize(netlist: &Netlist) -> Result<Levelization<'_>> {
     match netlist.level_data() {
         Some((order, level, max_level)) => Ok(Levelization {
-            order: order.to_vec(),
-            level: level.to_vec(),
+            order,
+            level,
             max_level,
         }),
         None => Err(NetlistError::CombinationalCycle(

@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-mod eco;
 mod error;
 mod gate;
 mod netlist;
@@ -43,7 +42,6 @@ pub mod stems;
 pub mod wallclock;
 pub mod writer;
 
-pub use eco::DirtyCone;
 pub use error::NetlistError;
 pub use gate::{GateType, NodeKind};
 pub use hash::{FastHashMap, FastHashSet, FastHasher};

@@ -136,7 +136,7 @@ impl<'a> NetlistCsr<'a> {
 /// deterministic), so a million-node netlist stores its names in three flat
 /// allocations instead of a million `String`s.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct NameTable {
+struct NameTable {
     buf: String,
     spans: Vec<(u32, u32)>,
     /// Open-addressing table of `sym + 1` (0 = empty); capacity is a power
@@ -163,13 +163,13 @@ impl NameTable {
     }
 
     /// The interned string of `sym`.
-    pub(crate) fn get(&self, sym: u32) -> &str {
+    fn get(&self, sym: u32) -> &str {
         let (s, e) = self.spans[sym as usize];
         &self.buf[s as usize..e as usize]
     }
 
     /// Finds the symbol of `name` without inserting.
-    pub(crate) fn lookup(&self, name: &str) -> Option<u32> {
+    fn lookup(&self, name: &str) -> Option<u32> {
         if self.table.is_empty() {
             return None;
         }
@@ -189,7 +189,7 @@ impl NameTable {
     }
 
     /// Interns `name`, returning its (new or existing) symbol.
-    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+    fn intern(&mut self, name: &str) -> u32 {
         if (self.spans.len() + 1) * 2 > self.table.len() {
             self.rehash((self.table.len() * 2).max(16));
         }
@@ -265,34 +265,34 @@ pub struct NetlistStats {
 /// order and per-node levels are computed once at build time.
 #[derive(Debug, Clone)]
 pub struct Netlist {
-    pub(crate) name: String,
-    pub(crate) kinds: Vec<NodeKind>,
-    pub(crate) names: NameTable,
+    name: String,
+    kinds: Vec<NodeKind>,
+    names: NameTable,
     /// Node id -> name symbol.
-    pub(crate) node_sym: Vec<u32>,
+    node_sym: Vec<u32>,
     /// Name symbol -> node id (every post-build symbol is defined).
-    pub(crate) def: Vec<u32>,
-    pub(crate) fanin_off: Vec<u32>,
-    pub(crate) fanin_edges: Vec<NodeId>,
-    pub(crate) fanout_off: Vec<u32>,
-    pub(crate) fanout_edges: Vec<NodeId>,
+    def: Vec<u32>,
+    fanin_off: Vec<u32>,
+    fanin_edges: Vec<NodeId>,
+    fanout_off: Vec<u32>,
+    fanout_edges: Vec<NodeId>,
     /// Logic level per node (all zeros when `acyclic` is false).
-    pub(crate) level: Vec<u32>,
+    level: Vec<u32>,
     /// Combinational gates in levelized (fanin-before-fanout) order.
-    pub(crate) eval_order: Vec<NodeId>,
+    eval_order: Vec<NodeId>,
     /// Node id -> position in `eval_order` (`u32::MAX` outside it).
-    pub(crate) eval_pos: Vec<u32>,
+    eval_pos: Vec<u32>,
     /// Constant gates (`CONST0`/`CONST1`) in id order.
-    pub(crate) constants: Vec<NodeId>,
-    pub(crate) max_level: u32,
-    pub(crate) acyclic: bool,
-    pub(crate) num_gates: usize,
+    constants: Vec<NodeId>,
+    max_level: u32,
+    acyclic: bool,
+    num_gates: usize,
     /// Number of primary-output uses per node (for stem detection).
-    pub(crate) po_count: Vec<u32>,
-    pub(crate) inputs: Vec<NodeId>,
-    pub(crate) outputs: Vec<NodeId>,
-    pub(crate) seq_elems: Vec<NodeId>,
-    pub(crate) clocks: Vec<String>,
+    po_count: Vec<u32>,
+    inputs: Vec<NodeId>,
+    outputs: Vec<NodeId>,
+    seq_elems: Vec<NodeId>,
+    clocks: Vec<String>,
 }
 
 impl PartialEq for Netlist {
@@ -478,8 +478,7 @@ impl Netlist {
 
     /// Structural hash of the netlist: name, node arena (kind, fanins,
     /// names), input/output lists and clock table. Two netlists with the
-    /// same hash are the same circuit for caching and resume purposes; any
-    /// non-trivial [ECO edit](crate::DirtyCone) changes the hash.
+    /// same hash are the same circuit for caching and resume purposes.
     pub fn structural_hash(&self) -> u64 {
         let mut h = FastHasher::default();
         h.write(self.name.as_bytes());
@@ -637,7 +636,7 @@ impl Netlist {
     }
 }
 
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// Incremental, by-name construction of a [`Netlist`].
 ///
@@ -919,7 +918,7 @@ impl NetlistBuilder {
 /// prefix-sum, fill) in `(driver, pin)` order, which reproduces the
 /// insertion order of the pre-arena per-node `Vec` push loop exactly. Every
 /// fanin id must be below `fanin_off.len() - 1`.
-pub(crate) fn fanout_csr(fanin_off: &[u32], fanin_edges: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
+fn fanout_csr(fanin_off: &[u32], fanin_edges: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
     let n = fanin_off.len() - 1;
     let mut fanout_off = vec![0u32; n + 1];
     for e in fanin_edges {
@@ -940,7 +939,7 @@ pub(crate) fn fanout_csr(fanin_off: &[u32], fanin_edges: &[NodeId]) -> (Vec<u32>
 }
 
 /// Node id -> position in `eval_order`, `u32::MAX` for nodes outside it.
-pub(crate) fn eval_positions(num_nodes: usize, eval_order: &[NodeId]) -> Vec<u32> {
+fn eval_positions(num_nodes: usize, eval_order: &[NodeId]) -> Vec<u32> {
     let mut pos = vec![u32::MAX; num_nodes];
     for (p, id) in eval_order.iter().enumerate() {
         pos[id.index()] = p as u32;
@@ -949,7 +948,7 @@ pub(crate) fn eval_positions(num_nodes: usize, eval_order: &[NodeId]) -> Vec<u32
 }
 
 /// The constant gates (`CONST0`/`CONST1`) of a kind array, in id order.
-pub(crate) fn constant_gates(kinds: &[NodeKind]) -> Vec<NodeId> {
+fn constant_gates(kinds: &[NodeKind]) -> Vec<NodeId> {
     kinds
         .iter()
         .enumerate()
@@ -961,7 +960,7 @@ pub(crate) fn constant_gates(kinds: &[NodeKind]) -> Vec<NodeId> {
 /// One Kahn sweep over the CSR. Returns `(level, eval_order, max_level,
 /// acyclic)`; the order and levels are bit-identical to the pre-arena
 /// `levelize` (same seed order, same FIFO discipline, same level recurrence).
-pub(crate) fn levelize_arena(
+fn levelize_arena(
     kinds: &[NodeKind],
     fanin_off: &[u32],
     fanin_edges: &[NodeId],

@@ -5,21 +5,16 @@
 //! "parallel and correct": an `SLA_THREADS=N` run must be **bit-identical** to
 //! the `SLA_THREADS=1` run — same relations in the same database order, same
 //! ties, same per-fault verdicts and backtrack counts. This crate provides the
-//! two primitives that make that contract easy to keep:
-//!
-//! * [`run_indexed`] / [`run_indexed_with`] — a parallel map over a slice
-//!   whose result vector is always in item order, regardless of which worker
-//!   processed which item. Work is distributed dynamically (an atomic cursor),
-//!   so the *assignment* of items to workers is timing-dependent, but as long
-//!   as the per-item function is a pure function of the item, the returned
-//!   vector is deterministic. Callers then perform an *ordered merge*, which
-//!   keeps any order-sensitive reduction identical to the serial loop.
-//! * [`with_pool`] — a scoped worker pool with per-worker state and a
-//!   submit/collect handle, for pipelines that interleave parallel jobs with
-//!   serial merge steps (the ATPG engine's in-order speculation window).
-//!   Workers live for the whole pool scope, so per-worker setup is paid once
-//!   per scope, not per job; the ATPG engine opens one scope per `advance`
-//!   call, so a streamed request builds each worker's test generator once.
+//! primitive that makes that contract easy to keep: [`with_pool`], a scoped
+//! worker pool with per-worker state and a submit/collect handle, for
+//! pipelines that interleave parallel jobs with serial merge steps (the ATPG
+//! engine's in-order speculation window). Which worker runs which job is
+//! timing-dependent, but as long as each job's result is a pure function of
+//! the job, the caller's *ordered merge* keeps any order-sensitive reduction
+//! identical to the serial loop. Workers live for the whole pool scope, so
+//! per-worker setup is paid once per scope, not per job; the ATPG engine
+//! opens one scope per `advance` call, so a streamed request builds each
+//! worker's test generator once.
 //!
 //! Everything is built on `std::thread::scope`: no extra dependencies, and
 //! borrowed data (netlists, simulators, fault lists) crosses into workers
@@ -32,7 +27,6 @@
 //! delegate to the serial implementation without spawning anything.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Condvar, Mutex};
 
@@ -71,78 +65,6 @@ pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Parallel map over `items` with dynamic work stealing; the result vector is
-/// in item order. With `threads <= 1` (or at most one item) the map runs
-/// inline on the caller's thread — the exact serial path, no spawn.
-///
-/// `f` receives `(index, &item)` and must be a pure function of them for the
-/// whole call to be deterministic.
-pub fn run_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_with(items, threads, |_| (), |(), i, t| f(i, t))
-}
-
-/// [`run_indexed`] with per-worker state: `init(worker_id)` runs once on each
-/// worker thread, and `f(&mut state, index, &item)` may reuse that state
-/// across all items the worker happens to claim.
-///
-/// Worker state must not make `f`'s *result* depend on the claim schedule —
-/// per-worker caches and scratch buffers are fine exactly when they are
-/// semantically transparent.
-pub fn run_indexed_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        let mut state = init(0);
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
-    }
-    let workers = threads.min(items.len());
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                let mut state = init(w);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&mut state, i, &items[i]);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every item produced a result"))
-            .collect()
-    })
 }
 
 /// The outcome of a quarantined job: its value, or the panic that killed it.
@@ -321,8 +243,7 @@ impl<'p, Job, Out> PoolHandle<'p, Job, Out> {
 /// (serial-exact path: a body that receives each result before its next
 /// submission runs its jobs exactly as a serial loop would). The pool makes
 /// **no ordering guarantee** between results of concurrently executing jobs
-/// — determinism comes from the caller's ordered merge, exactly as with
-/// [`run_indexed`].
+/// — determinism comes from the caller's ordered merge.
 pub fn with_pool<Job, Out, S, I, W, F, R>(threads: usize, init: I, work: W, body: F) -> R
 where
     Job: Send,
@@ -385,34 +306,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_indexed_preserves_item_order() {
-        let items: Vec<usize> = (0..257).collect();
-        for threads in [1, 2, 3, 8] {
-            let out = run_indexed(&items, threads, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_indexed_with_reuses_worker_state() {
-        let items: Vec<usize> = (0..64).collect();
-        // The per-worker counter must not leak into results, only into state.
-        let out = run_indexed_with(
-            &items,
-            4,
-            |_| 0usize,
-            |seen, _, &x| {
-                *seen += 1;
-                x + 1
-            },
-        );
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-    }
 
     #[test]
     fn with_pool_runs_all_jobs_any_thread_count() {

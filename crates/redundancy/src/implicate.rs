@@ -1,7 +1,7 @@
 //! Static logic implication: the set of values forced by a seed assignment in
 //! one combinational frame, propagated forward and backward to a fixed point.
 
-use sla_netlist::levelize::levelize;
+use sla_netlist::levelize::{levelize, Levelization};
 use sla_netlist::{GateType, Netlist, NodeId, NodeKind};
 use sla_sim::{eval_gate3, Logic3};
 
@@ -29,10 +29,10 @@ pub fn static_implications(
     // only refine X to a binary value, so the iteration terminates.
     for _ in 0..n.max(4) {
         let mut changed = false;
-        if !forward_pass(netlist, &levels, &mut values, &mut changed) {
+        if !forward_pass(netlist, levels, &mut values, &mut changed) {
             return Ok(None);
         }
-        if !backward_pass(netlist, &levels, &mut values, &mut changed) {
+        if !backward_pass(netlist, levels, &mut values, &mut changed) {
             return Ok(None);
         }
         if !changed {
@@ -45,7 +45,7 @@ pub fn static_implications(
 /// Forward evaluation pass; returns `false` on contradiction.
 fn forward_pass(
     netlist: &Netlist,
-    levels: &sla_netlist::levelize::Levelization,
+    levels: Levelization<'_>,
     values: &mut [Logic3],
     changed: &mut bool,
 ) -> bool {
@@ -73,7 +73,7 @@ fn forward_pass(
 /// produced one way, force the fanin values. Returns `false` on contradiction.
 fn backward_pass(
     netlist: &Netlist,
-    levels: &sla_netlist::levelize::Levelization,
+    levels: Levelization<'_>,
     values: &mut [Logic3],
     changed: &mut bool,
 ) -> bool {

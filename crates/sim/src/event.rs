@@ -91,11 +91,11 @@ impl<'a> EventSim<'a> {
     /// Returns a levelization error if the combinational logic is cyclic.
     pub fn new(netlist: &'a Netlist, window: usize, fault: Option<Fault>) -> Result<Self> {
         let levels = levelize(netlist)?;
-        Ok(EventSim::with_levels(netlist, &levels, window, fault))
+        Ok(EventSim::with_levels(netlist, levels, window, fault))
     }
 
-    /// Builds a machine reusing a precomputed [`Levelization`] (the hot path
-    /// for callers that open many windows over the same netlist).
+    /// Builds a machine on a [`Levelization`] the caller already holds, so
+    /// it cannot fail (the levelization proves the logic acyclic).
     ///
     /// The base state comes from event propagation out of an all-`X` fill:
     /// the constant gates and the fault site (the stuck line, or the gate of
@@ -105,7 +105,7 @@ impl<'a> EventSim<'a> {
     /// ascending.
     pub fn with_levels(
         netlist: &'a Netlist,
-        levels: &Levelization,
+        levels: Levelization<'_>,
         window: usize,
         fault: Option<Fault>,
     ) -> Self {
@@ -510,7 +510,7 @@ mod tests {
         let levels = levelize(&n).unwrap();
         let g = n.require("g").unwrap();
         for fault in [None, Some(Fault::output(g, true))] {
-            let mut grown = EventSim::with_levels(&n, &levels, 1, fault);
+            let mut grown = EventSim::with_levels(&n, levels, 1, fault);
             // Decide, undo to base, then grow 1 -> 2 -> 4.
             let a = n.require("a").unwrap();
             let mark = grown.mark();
@@ -518,7 +518,7 @@ mod tests {
             grown.undo_to(mark);
             for w in [2usize, 4] {
                 grown.grow(w);
-                let fresh = EventSim::with_levels(&n, &levels, w, fault);
+                let fresh = EventSim::with_levels(&n, levels, w, fault);
                 assert_eq!(grown.values(), fresh.values(), "window {w}");
                 assert_eq!(grown.changed(), fresh.changed(), "window {w}");
                 assert_eq!(grown.window(), fresh.window());
@@ -528,7 +528,7 @@ mod tests {
             let q = n.require("q").unwrap();
             grown.assign(0, a, true);
             grown.assign(0, b, true);
-            let mut fresh = EventSim::with_levels(&n, &levels, 4, fault);
+            let mut fresh = EventSim::with_levels(&n, levels, 4, fault);
             fresh.assign(0, a, true);
             fresh.assign(0, b, true);
             assert_eq!(grown.value(1, q), fresh.value(1, q));
@@ -541,7 +541,7 @@ mod tests {
     fn grow_rejects_applied_assignments() {
         let n = pipelined();
         let levels = levelize(&n).unwrap();
-        let mut sim = EventSim::with_levels(&n, &levels, 1, None);
+        let mut sim = EventSim::with_levels(&n, levels, 1, None);
         sim.assign(0, n.require("a").unwrap(), true);
         sim.grow(2);
     }

@@ -48,7 +48,7 @@ impl TestSequence {
 #[derive(Debug, Clone)]
 pub struct FaultSimulator<'a> {
     netlist: &'a Netlist,
-    levels: Levelization,
+    levels: Levelization<'a>,
 }
 
 impl<'a> FaultSimulator<'a> {

@@ -17,28 +17,19 @@ use sla_netlist::{Netlist, NodeId, NodeKind};
 #[derive(Debug, Clone)]
 pub struct CombEvaluator<'a> {
     netlist: &'a Netlist,
-    levels: Levelization,
-    /// Position of every node in the levelized order, for cheap "did a value
-    /// flow backwards" checks during equivalence forwarding.
-    order_pos: Vec<u32>,
+    levels: Levelization<'a>,
 }
 
 impl<'a> CombEvaluator<'a> {
-    /// Builds an evaluator (levelizes the combinational logic once).
+    /// Builds an evaluator over the netlist's stored levelization.
     ///
     /// # Errors
     ///
     /// Returns a levelization error if the combinational logic is cyclic.
     pub fn new(netlist: &'a Netlist) -> Result<Self> {
-        let levels = levelize(netlist)?;
-        let mut order_pos = vec![0u32; netlist.num_nodes()];
-        for (pos, &id) in levels.order().iter().enumerate() {
-            order_pos[id.index()] = pos as u32;
-        }
         Ok(CombEvaluator {
             netlist,
-            levels,
-            order_pos,
+            levels: levelize(netlist)?,
         })
     }
 
@@ -47,14 +38,9 @@ impl<'a> CombEvaluator<'a> {
         self.netlist
     }
 
-    /// The levelization computed at construction time.
-    pub fn levels(&self) -> &Levelization {
-        &self.levels
-    }
-
-    /// Position of every node in the levelized order (indexed by node id).
-    pub(crate) fn order_pos(&self) -> &[u32] {
-        &self.order_pos
+    /// The levelization of the netlist.
+    pub fn levels(&self) -> Levelization<'a> {
+        self.levels
     }
 
     /// Evaluates all combinational gates.
@@ -101,6 +87,7 @@ impl<'a> CombEvaluator<'a> {
         equiv: Option<&EquivClasses>,
         conflict: &mut Option<NodeId>,
     ) -> bool {
+        let eval_pos = self.netlist.csr().eval_pos;
         let mut needs_repass = false;
         for &id in self.levels.order() {
             let node = self.netlist.node(id);
@@ -144,7 +131,7 @@ impl<'a> CombEvaluator<'a> {
                             let m_val = Logic3::from_bool(rep_value ^ m_inv);
                             if values[m_idx] == Logic3::X && !forced[m_idx] {
                                 values[m_idx] = m_val;
-                                if self.order_pos[m_idx] < self.order_pos[idx] {
+                                if is_behind(eval_pos, m_idx, idx) {
                                     needs_repass = true;
                                 }
                             } else if values[m_idx].is_binary()
@@ -160,6 +147,19 @@ impl<'a> CombEvaluator<'a> {
         }
         needs_repass
     }
+}
+
+/// Whether equivalence forwarding from the gate at `idx` wrote `m_idx`
+/// behind the evaluation cursor, so the pass must run again. Frame inputs
+/// (primary inputs and sequential elements, outside the arena's evaluation
+/// order) count as position 0.
+#[inline]
+pub(crate) fn is_behind(eval_pos: &[u32], m_idx: usize, idx: usize) -> bool {
+    let m_pos = match eval_pos[m_idx] {
+        u32::MAX => 0,
+        p => p,
+    };
+    m_pos < eval_pos[idx]
 }
 
 #[cfg(test)]

@@ -344,48 +344,30 @@ impl<'a> InjectionSim<'a> {
     /// Runs up to 64 independent forward simulations in one packed pass.
     ///
     /// Each element of `jobs` is an injection list exactly as accepted by
-    /// [`InjectionSim::run`]; entry *i* of the result is identical (frames,
+    /// [`InjectionSim::run`]; lane *i* of the result is identical (frames,
     /// conflict, state-repeat flag) to `self.run(jobs[i], options)`. The jobs
     /// share every forward pass through the word-parallel kernel of
-    /// [`crate::packed`], which is what makes batched learning cheap.
+    /// [`crate::packed`], which is what makes batched learning cheap. Per-lane
+    /// views ([`crate::packed::LaneTrace`]) read the result in place with no
+    /// unpacking; [`PackedTraces::to_trace`] unpacks one lane.
     ///
     /// # Panics
     ///
     /// Panics if more than 64 jobs are passed.
-    pub fn run_batch(&self, jobs: &[&[Injection]], options: &SimOptions) -> Vec<Trace> {
-        let packed = self.run_batch_impl(jobs, options, None);
-        (0..packed.lanes()).map(|l| packed.to_trace(l)).collect()
-    }
-
-    /// Like [`InjectionSim::run_batch`], but returns the packed result
-    /// directly; per-lane views ([`crate::packed::LaneTrace`]) read it in
-    /// place with no unpacking.
     pub fn run_batch_packed(&self, jobs: &[&[Injection]], options: &SimOptions) -> PackedTraces {
         self.run_batch_impl(jobs, options, None)
     }
 
-    /// Like [`InjectionSim::run_batch`], but lane *i* additionally stops after
-    /// `limits[i]` frames: entry *i* of the result is identical to running job
-    /// *i* alone with `max_frames = options.max_frames.min(limits[i])`. This
-    /// lets callers pack jobs with different frame horizons (e.g. multi-node
-    /// learning targets) into one pass.
+    /// Like [`InjectionSim::run_batch_packed`], but lane *i* additionally
+    /// stops after `limits[i]` frames: lane *i* of the result is identical to
+    /// running job *i* alone with `max_frames = options.max_frames.min(limits[i])`.
+    /// This lets callers pack jobs with different frame horizons (e.g.
+    /// multi-node learning targets) into one pass.
     ///
     /// # Panics
     ///
     /// Panics if more than 64 jobs are passed or `limits` has a different
     /// length than `jobs`.
-    pub fn run_batch_with_limits(
-        &self,
-        jobs: &[&[Injection]],
-        options: &SimOptions,
-        limits: &[usize],
-    ) -> Vec<Trace> {
-        let packed = self.run_batch_with_limits_packed(jobs, options, limits);
-        (0..packed.lanes()).map(|l| packed.to_trace(l)).collect()
-    }
-
-    /// Like [`InjectionSim::run_batch_with_limits`], but returns the packed
-    /// result directly.
     pub fn run_batch_with_limits_packed(
         &self,
         jobs: &[&[Injection]],
@@ -418,7 +400,7 @@ impl<'a> InjectionSim<'a> {
             |lane: usize| limits.map_or(options.max_frames, |l| l[lane].min(options.max_frames));
         let netlist = self.eval.netlist();
         let order = self.eval.levels().order();
-        let order_pos = self.eval.order_pos();
+        let eval_pos = netlist.csr().eval_pos;
         let all: u64 = if lanes == 64 {
             u64::MAX
         } else {
@@ -517,7 +499,7 @@ impl<'a> InjectionSim<'a> {
             eval_frame_packed(
                 netlist,
                 order,
-                order_pos,
+                eval_pos,
                 &mut values,
                 &forced,
                 self.equiv.as_ref(),

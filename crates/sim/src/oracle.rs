@@ -60,7 +60,7 @@ impl From<sla_netlist::NetlistError> for OracleError {
 #[derive(Debug, Clone)]
 pub struct StateOracle<'a> {
     netlist: &'a Netlist,
-    levels: Levelization,
+    levels: Levelization<'a>,
     ffs: Vec<NodeId>,
     pis: Vec<NodeId>,
     steady: Vec<u64>,

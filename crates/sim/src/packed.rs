@@ -5,21 +5,22 @@
 //! when lane *i* holds logic 0, bit *i* of `one` when it holds logic 1, and a
 //! lane with neither bit set holds `X` (the planes are disjoint by
 //! construction). Gate evaluation reduces to plane-wise applications of the
-//! binary 64-wide primitive [`eval_gate64`](crate::eval::eval_gate64): for an
-//! AND gate the `one` plane is the 64-wide AND of the fanin `one` planes and
-//! the `zero` plane is the 64-wide OR of the fanin `zero` planes, and dually
-//! for OR — exactly the Kleene three-valued truth tables, 64 lanes at a time.
+//! binary 64-wide primitive [`eval_gate64`]: for an AND gate the `one` plane
+//! is the 64-wide AND of the fanin `one` planes and the `zero` plane is the
+//! 64-wide OR of the fanin `zero` planes, and dually for OR — exactly the
+//! Kleene three-valued truth tables, 64 lanes at a time.
 //!
 //! Consumers pack independent scenarios into the lanes:
 //!
-//! * [`InjectionSim::run_batch`](crate::InjectionSim::run_batch) packs up to 64
-//!   injection jobs (e.g. 32 learning stems × 2 polarities) into one forward
-//!   multi-frame pass,
+//! * [`InjectionSim::run_batch_packed`](crate::InjectionSim::run_batch_packed)
+//!   packs up to 64 injection jobs (e.g. 32 learning stems × 2 polarities)
+//!   into one forward multi-frame pass,
 //! * [`FaultSimulator::detected_faults`](crate::FaultSimulator::detected_faults)
 //!   packs up to 64 faulty machines into one pass over a test sequence.
 
 use crate::equiv::EquivClasses;
 use crate::eval::eval_gate64;
+use crate::frame::is_behind;
 use crate::inject::Conflict;
 use crate::value::Logic3;
 use sla_netlist::{GateType, Netlist, NodeId, NodeKind};
@@ -209,7 +210,7 @@ impl LaneConflicts {
 fn eval_pass_packed(
     netlist: &Netlist,
     order: &[NodeId],
-    order_pos: &[u32],
+    eval_pos: &[u32],
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
@@ -256,7 +257,7 @@ fn eval_pass_packed(
                         if set != 0 {
                             values[m_idx].one |= m_val.one & set;
                             values[m_idx].zero |= m_val.zero & set;
-                            if order_pos[m_idx] < order_pos[idx] {
+                            if is_behind(eval_pos, m_idx, idx) {
                                 needs_repass = true;
                             }
                         }
@@ -275,7 +276,7 @@ fn eval_pass_packed(
 pub(crate) fn eval_frame_packed(
     netlist: &Netlist,
     order: &[NodeId],
-    order_pos: &[u32],
+    eval_pos: &[u32],
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
@@ -293,7 +294,7 @@ pub(crate) fn eval_frame_packed(
     };
     for _ in 0..max_passes {
         let needs_repass = eval_pass_packed(
-            netlist, order, order_pos, values, forced, equiv, active, frame, conflicts, fanin_buf,
+            netlist, order, eval_pos, values, forced, equiv, active, frame, conflicts, fanin_buf,
         );
         if !needs_repass {
             break;

@@ -3,8 +3,10 @@
 //! `SLA_THREADS ∈ {1, 4}` with zero learning work units on the warm path.
 
 use sla_atpg::{AtpgOptions, AtpgRun, LearningMode};
+use sla_circuits::s27::S27_BENCH;
 use sla_circuits::{s27, table5_circuit, Table5Config};
 use sla_core::LearnOptions;
+use sla_netlist::parser::parse_bench;
 use sla_netlist::Netlist;
 use sla_sim::collapsed_fault_list;
 use sla_snapshot::SnapshotError;
@@ -114,6 +116,64 @@ fn warm_store_run_is_bit_identical_to_cold() {
             "warm run must be bit-identical to cold (threads {threads})"
         );
     }
+}
+
+/// The key follows the circuit, not the text: an edit of the `.bench` source
+/// that changes one gate type, rewires one fanin or adds one gate changes the
+/// `StoreKey`, so the request misses and relearns; an edit of whitespace and
+/// comments only keeps the key, so the request hits with no learning work.
+#[test]
+fn bench_text_edits_change_the_key_iff_the_circuit_changes() {
+    let scratch = Scratch::new("edits");
+    let mut store = LearnedStore::open(scratch.path(), 8).expect("open store");
+    let options = learn_options();
+    let parse = |text: &str| parse_bench("s27", text).expect("edited text parses");
+    let base = parse(S27_BENCH);
+    let base_key = StoreKey::new(&base, &options);
+    Session::open(&base)
+        .with_threads(1)
+        .learn_cached(&options, &mut store)
+        .expect("populate");
+
+    let edits = [
+        ("gate type", "G8 = AND(G14, G6)", "G8 = OR(G14, G6)"),
+        ("fanin", "G16 = OR(G3, G8)", "G16 = OR(G2, G8)"),
+        (
+            "added gate",
+            "G13 = NAND(G2, G12)\n",
+            "G13 = NAND(G2, G12)\nG18 = NOT(G13)\n",
+        ),
+    ];
+    for (what, from, to) in edits {
+        assert!(S27_BENCH.contains(from), "{what}: `{from}` is in s27");
+        let edited = parse(&S27_BENCH.replacen(from, to, 1));
+        assert_ne!(
+            StoreKey::new(&edited, &options),
+            base_key,
+            "{what} edit must change the key"
+        );
+        let mut session = Session::open(&edited).with_threads(1);
+        let report = session.learn_cached(&options, &mut store).expect("relearn");
+        assert_eq!(report.outcome, CacheOutcome::Miss, "{what} edit must miss");
+        assert!(report.work_units > 0, "{what} edit must relearn");
+    }
+
+    let cosmetic = S27_BENCH
+        .replace("# s27 - ISCAS-89 sequential benchmark", "\n# reformatted\n")
+        .replace(" = ", "\t=  ")
+        .replace(", ", " ,\t")
+        .replace("OUTPUT(G17)", "OUTPUT( G17 )  # the only output");
+    assert_ne!(cosmetic, S27_BENCH);
+    let same = parse(&cosmetic);
+    assert_eq!(
+        StoreKey::new(&same, &options),
+        base_key,
+        "whitespace and comments must keep the key"
+    );
+    let mut session = Session::open(&same).with_threads(1);
+    let report = session.learn_cached(&options, &mut store).expect("lookup");
+    assert_eq!(report.outcome, CacheOutcome::Hit, "cosmetic edit must hit");
+    assert_eq!(report.work_units, 0, "a hit spends no learning work");
 }
 
 /// A corrupted entry is a typed miss: the session falls back to fresh

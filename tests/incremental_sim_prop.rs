@@ -169,7 +169,7 @@ fn machine_set_up_recomputes_only_the_fault_cone() {
     let num_nodes = netlist.num_nodes() as u64;
     let driver = netlist.outputs()[0];
     for stuck_at in [false, true] {
-        let machines = SearchMachines::new(&netlist, &levels, 8, Fault::output(driver, stuck_at));
+        let machines = SearchMachines::new(&netlist, levels, 8, Fault::output(driver, stuck_at));
         let recomputed = machines.good().recomputed() + machines.faulty().recomputed();
         assert!(
             recomputed < num_nodes,
@@ -234,7 +234,7 @@ proptest! {
 
         let n = netlist.num_nodes();
         let pis = netlist.inputs().to_vec();
-        let mut machines = SearchMachines::new(&netlist, &levels, window, fault);
+        let mut machines = SearchMachines::new(&netlist, levels, window, fault);
         let mut layer = IncrementalLayer::new(&adj, mode, window, n);
         let mut conflict =
             layer.update_events(0, machines.good().values(), machines.good().changed());
@@ -385,7 +385,7 @@ proptest! {
         let reference_gen =
             TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
 
-        let mut machines = SearchMachines::new(&netlist, &levels, 1, fault);
+        let mut machines = SearchMachines::new(&netlist, levels, 1, fault);
         // Dirty the trails as an exhausted search would, then rewind + grow.
         for _ in 0..decide {
             let pi = pis[(bits.next() % pis.len() as u64) as usize];
@@ -396,7 +396,7 @@ proptest! {
         for window in [2usize, 4, 8] {
             machines.rewind_to_base();
             machines.grow(window);
-            let fresh = SearchMachines::new(&netlist, &levels, window, fault);
+            let fresh = SearchMachines::new(&netlist, levels, window, fault);
             prop_assert_eq!(machines.good().values(), fresh.good().values());
             prop_assert_eq!(machines.faulty().values(), fresh.faulty().values());
             prop_assert_eq!(machines.good().changed(), fresh.good().changed());
@@ -455,13 +455,13 @@ proptest! {
                 .collect();
             prop_assert!(!candidates.is_empty(), "class {} has no fault", class);
             let fault = candidates[(bits.next() % candidates.len() as u64) as usize];
-            let mut grown = SearchMachines::new(&netlist, &levels, 1, fault);
+            let mut grown = SearchMachines::new(&netlist, levels, 1, fault);
             for window in [1usize, 2, 4, 8] {
                 if window > 1 {
                     grown.rewind_to_base();
                     grown.grow(window);
                 }
-                let fresh = SearchMachines::new(&netlist, &levels, window, fault);
+                let fresh = SearchMachines::new(&netlist, levels, window, fault);
                 let (good, faulty) = reference_gen.simulate_reference(&fault, window, &undecided);
                 for (how, machines) in [("fresh", &fresh), ("grown", &grown)] {
                     for t in 0..window {

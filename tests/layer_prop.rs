@@ -123,10 +123,6 @@ proptest! {
         let mut decisions: Vec<Decision> = Vec::new();
         let mut layer = IncrementalLayer::new(&adj, mode, window, n);
         let mut pending_level = 0usize;
-        let mut pending_frame = 0usize;
-        // The production path also exercises the parent-good frame filter.
-        let mut parent_buf: Vec<Logic3> = Vec::new();
-        let mut parent_valid = false;
 
         for _ in 0..steps {
             let assigned: Vec<(usize, NodeId, bool)> = decisions
@@ -135,13 +131,14 @@ proptest! {
                 .collect();
             let good = simulate(&sim, window, &assigned);
 
-            let parent = parent_valid.then_some(parent_buf.as_slice());
-            let conflict = layer.update(pending_level, &good, pending_frame, parent);
-            parent_buf.resize(window * n, Logic3::X);
-            for (f, values) in good.iter().enumerate() {
-                parent_buf[f * n..(f + 1) * n].copy_from_slice(values);
-            }
-            parent_valid = true;
+            // Every binary slot of the flat window: the layer's seen flags
+            // skip the ones a live level already processed, so this is the
+            // change stream of the step.
+            let flat = good.concat();
+            let binary: Vec<u32> = (0..flat.len() as u32)
+                .filter(|&slot| flat[slot as usize].is_binary())
+                .collect();
+            let conflict = layer.update_events(pending_level, &flat, &binary);
 
             // Reference: full rebuild from the same good machine.
             let reference = ImplicationLayer::build(&adj, mode, &good);
@@ -182,8 +179,6 @@ proptest! {
                         decisions.push(d);
                         layer.pop_to(decisions.len());
                         pending_level = decisions.len();
-                        pending_frame = d.frame;
-                        parent_valid = false;
                         flipped_some = true;
                         break;
                     }
@@ -210,7 +205,6 @@ proptest! {
                     flipped: false,
                 });
                 pending_level = decisions.len();
-                pending_frame = frame;
             }
         }
     }

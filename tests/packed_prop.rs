@@ -66,10 +66,10 @@ proptest! {
         }
     }
 
-    /// `run_batch` produces, lane for lane, exactly the trace the scalar
-    /// `run` produces for the same injection job — frames, values, conflicts
-    /// and state-repeat flags — on random netlists and random multi-frame
-    /// injection batches.
+    /// `run_batch_packed` produces, lane for lane, exactly the trace the
+    /// scalar `run` produces for the same injection job — frames, values,
+    /// conflicts and state-repeat flags — on random netlists and random
+    /// multi-frame injection batches.
     #[test]
     fn run_batch_matches_scalar_runs(
         seed in 0u64..400,
@@ -105,11 +105,11 @@ proptest! {
             stop_on_repeat: true,
             respect_seq_rules: true,
         };
-        let batch = sim.run_batch(&job_slices, &options);
-        prop_assert_eq!(batch.len(), jobs);
-        for (job, packed) in job_slices.iter().zip(&batch) {
+        let batch = sim.run_batch_packed(&job_slices, &options);
+        prop_assert_eq!(batch.lanes(), jobs);
+        for (lane, job) in job_slices.iter().enumerate() {
             let scalar = sim.run(job, &options);
-            prop_assert_eq!(packed, &scalar, "lane trace differs for {:?}", job);
+            prop_assert_eq!(batch.to_trace(lane), scalar, "lane trace differs for {:?}", job);
         }
     }
 
@@ -140,8 +140,9 @@ proptest! {
             stop_on_repeat: false,
             respect_seq_rules: true,
         };
-        let batch = sim.run_batch_with_limits(&job_slices, &options, &limits);
-        for ((job, &limit), packed) in job_slices.iter().zip(&limits).zip(&batch) {
+        let batch = sim.run_batch_with_limits_packed(&job_slices, &options, &limits);
+        prop_assert_eq!(batch.lanes(), job_slices.len());
+        for (lane, (job, &limit)) in job_slices.iter().zip(&limits).enumerate() {
             let scalar = sim.run(
                 job,
                 &SimOptions {
@@ -149,7 +150,7 @@ proptest! {
                     ..options
                 },
             );
-            prop_assert_eq!(packed, &scalar);
+            prop_assert_eq!(batch.to_trace(lane), scalar);
         }
     }
 
