@@ -4,9 +4,9 @@
 //! # Resilient execution
 //!
 //! The run is structured as [`AtpgEngine::start`] → [`AtpgEngine::advance`] →
-//! [`AtpgEngine::finish`], with [`AtpgEngine::run`] as the one-shot wrapper.
-//! The explicit [`RunProgress`] state between the steps is what the
-//! resilience layer builds on:
+//! [`AtpgEngine::finish`], with [`AtpgEngine::run_with_threads`] as the
+//! one-shot wrapper. The explicit [`RunProgress`] state between the steps is
+//! what the resilience layer builds on:
 //!
 //! * **Deterministic budgets** — [`AtpgOptions::budget`] bounds the run in
 //!   work units (one per decision, one per backtrack), charged at the serial
@@ -267,7 +267,8 @@ impl RunProgress {
 /// Sequential ATPG engine.
 ///
 /// Construct with [`AtpgEngine::new`], optionally attach learned data with
-/// [`AtpgEngine::with_learned`], then call [`AtpgEngine::run`] on a fault list.
+/// [`AtpgEngine::with_learned`], then call [`AtpgEngine::run_with_threads`]
+/// on a fault list.
 #[derive(Debug)]
 pub struct AtpgEngine<'a> {
     netlist: &'a Netlist,
@@ -327,18 +328,12 @@ impl<'a> AtpgEngine<'a> {
     /// Runs test generation over `faults` and returns per-fault statuses,
     /// the generated sequences and aggregate statistics.
     ///
-    /// The per-fault searches are sharded across worker threads; the count
-    /// comes from the `SLA_THREADS` environment variable (default: the
-    /// machine's available parallelism). Per-fault verdicts, backtrack and
-    /// decision counts, dropped-fault sets and generated sequences are
-    /// **bit-identical** for every thread count — `SLA_THREADS=1` runs the
-    /// searches inline in exact serial order, and
-    /// [`AtpgEngine::run_with_threads`] pins the count explicitly.
-    pub fn run(&self, faults: &[Fault]) -> AtpgRun {
-        self.run_with_threads(faults, sla_par::thread_count())
-    }
-
-    /// [`AtpgEngine::run`] with an explicit worker-thread count.
+    /// The per-fault searches are sharded across `threads` worker threads,
+    /// which the caller chooses (binaries read `sla_par::thread_count()` at
+    /// their edge). Per-fault verdicts, backtrack and decision counts,
+    /// dropped-fault sets and generated sequences are **bit-identical** for
+    /// every thread count; `threads = 1` runs the searches inline in exact
+    /// serial order.
     pub fn run_with_threads(&self, faults: &[Fault], threads: usize) -> AtpgRun {
         let start = sla_netlist::wallclock::now();
         let mut progress = self.start(faults);
@@ -446,9 +441,7 @@ impl<'a> AtpgEngine<'a> {
         let mut wasted = 0usize;
         sla_par::with_pool(
             threads,
-            |_worker| {
-                TestGenerator::with_shared(self.netlist, self.levels, &adjacency, self.config)
-            },
+            |_worker| TestGenerator::new(self.netlist, self.levels, &adjacency, self.config),
             |generator, idx: usize| (idx, self.generate_quarantined(generator, faults, idx)),
             |pool| {
                 // Results received ahead of their merge turn. Generation is
@@ -633,7 +626,8 @@ impl<'a> AtpgEngine<'a> {
                         .map(|(j, &f)| (j, f))
                         .collect();
                     let targets: Vec<Fault> = remaining.iter().map(|&(_, f)| f).collect();
-                    let hit = sla_sim::detected_faults(self.netlist, &targets, &sequence);
+                    let hit =
+                        sla_sim::detected_faults(self.netlist, self.levels, &targets, &sequence);
                     for (&(j, _), &detected) in remaining.iter().zip(&hit) {
                         if detected {
                             progress.classify(j, FaultStatus::Detected);
@@ -677,7 +671,7 @@ mod tests {
         let n = sample();
         let engine = AtpgEngine::new(&n, AtpgOptions::default()).unwrap();
         let faults = collapsed_fault_list(&n);
-        let run = engine.run(&faults);
+        let run = engine.run_with_threads(&faults, sla_par::thread_count());
         assert_eq!(run.status.len(), faults.len());
         assert!(run.stats.detected > 0);
         assert_eq!(
@@ -710,7 +704,7 @@ mod tests {
         let engine = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
             .with_learned(learned);
-        let run = engine.run(&faults);
+        let run = engine.run_with_threads(&faults, sla_par::thread_count());
         assert!(run.stats.untestable_from_ties >= 1);
         // The tie0 stuck-at-0 fault is among the untestable ones.
         let tie0 = n.require("tie0").unwrap();
@@ -732,12 +726,12 @@ mod tests {
         let faults = collapsed_fault_list(&n);
         let baseline = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
-            .run(&faults);
+            .run_with_threads(&faults, sla_par::thread_count());
         for mode in [LearningMode::ForbiddenValue, LearningMode::KnownValue] {
             let run = AtpgEngine::new(&n, AtpgOptions::builder().learning(mode).build())
                 .unwrap()
                 .with_learned(learned.clone())
-                .run(&faults);
+                .run_with_threads(&faults, sla_par::thread_count());
             assert!(
                 run.stats.detected + run.stats.untestable >= baseline.stats.detected,
                 "mode {mode:?} classified fewer faults than the baseline"
@@ -756,9 +750,11 @@ mod tests {
         let faults = collapsed_fault_list(&n);
         let with_drop = AtpgEngine::new(&n, AtpgOptions::default())
             .unwrap()
-            .run(&faults);
+            .run_with_threads(&faults, sla_par::thread_count());
         let cfg = AtpgOptions::builder().fault_dropping(false).build();
-        let without_drop = AtpgEngine::new(&n, cfg).unwrap().run(&faults);
+        let without_drop = AtpgEngine::new(&n, cfg)
+            .unwrap()
+            .run_with_threads(&faults, sla_par::thread_count());
         assert!(with_drop.stats.sequences <= without_drop.stats.sequences);
         // Fault simulation of generated sequences can detect faults the
         // generator itself aborted on (the paper relies on this effect), so
@@ -880,7 +876,7 @@ mod tests {
         let faults = full_fault_list(&n);
         let run = AtpgEngine::new(&n, AtpgOptions::builder().backtrack_limit(100).build())
             .unwrap()
-            .run(&faults);
+            .run_with_threads(&faults, sla_par::thread_count());
         assert_eq!(run.stats.total_faults, faults.len());
         assert!(run.stats.cpu.as_nanos() > 0);
         assert_eq!(run.stats.sequences, run.sequences.len());

@@ -771,7 +771,7 @@ mod tests {
         let adj = adjacency_for(&n, &learned);
         assert!(!adj.is_empty());
         assert_eq!(adj.num_edges(), 2 * learned.implications().len());
-        for (id, _) in n.iter() {
+        for id in n.node_ids() {
             for value in [false, true] {
                 // Reference: the direct consequents of the literal, read off
                 // every stored relation and its contrapositive.

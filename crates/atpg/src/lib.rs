@@ -39,7 +39,7 @@
 //!
 //! let engine = AtpgEngine::new(&netlist, AtpgOptions::default())?;
 //! let faults = collapsed_fault_list(&netlist);
-//! let run = engine.run(&faults);
+//! let run = engine.run_with_threads(&faults, 1);
 //! assert!(run.stats.detected > 0);
 //! # Ok(())
 //! # }

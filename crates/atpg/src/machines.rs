@@ -23,7 +23,7 @@
 //! the persistent set to under random decide/flip/backtrack/grow scripts.
 
 use sla_netlist::levelize::Levelization;
-use sla_netlist::{Netlist, NetlistCsr, NodeId};
+use sla_netlist::{Netlist, NodeId};
 use sla_sim::{EventSim, Fault, FaultSite, Logic3};
 
 /// Rank sentinel for nodes outside the fault cone (or non-gates).
@@ -55,9 +55,6 @@ pub struct MachineMark {
 #[derive(Debug, Clone)]
 pub struct SearchMachines<'a> {
     netlist: &'a Netlist,
-    /// Raw arena view; frontier maintenance walks fanouts/fanins off the CSR
-    /// arrays directly.
-    csr: NetlistCsr<'a>,
     fault: Fault,
     good: EventSim<'a>,
     faulty: EventSim<'a>,
@@ -98,7 +95,7 @@ impl<'a> SearchMachines<'a> {
     ///
     /// The cost follows the fault's cone, not the netlist: both machines
     /// settle their base state by event propagation from the constant gates
-    /// and the fault site ([`EventSim::with_levels`]), the cone gates come
+    /// and the fault site ([`EventSim::new`]), the cone gates come
     /// from one walk over the site's fanouts and are put in levelized order
     /// by their stored evaluation positions, the event filter marks only
     /// the cone gates, their fanins and the cone outputs, and the frontier
@@ -107,16 +104,15 @@ impl<'a> SearchMachines<'a> {
     /// zero-filled or constant-filled allocation.
     pub fn new(
         netlist: &'a Netlist,
-        levels: Levelization<'_>,
+        levels: Levelization<'a>,
         window: usize,
         fault: Fault,
     ) -> Self {
-        let good = EventSim::with_levels(netlist, levels, window, None);
-        let faulty = EventSim::with_levels(netlist, levels, window, Some(fault));
+        let good = EventSim::new(netlist, levels, window, None);
+        let faulty = EventSim::new(netlist, levels, window, Some(fault));
 
         // Static fanout cone of the fault site. For an input-pin fault the
         // difference first appears at the faulted gate's output.
-        let csr = netlist.csr();
         let num_nodes = netlist.num_nodes();
         let mut in_cone = vec![false; num_nodes];
         let start = fault.site.node();
@@ -125,7 +121,7 @@ impl<'a> SearchMachines<'a> {
         let mut head = 0;
         while let Some(&x) = cone.get(head) {
             head += 1;
-            for &fo in csr.fanouts(x) {
+            for &fo in netlist.fanouts(x) {
                 if !in_cone[fo.index()] {
                     in_cone[fo.index()] = true;
                     cone.push(fo);
@@ -140,7 +136,7 @@ impl<'a> SearchMachines<'a> {
         let order = levels.order();
         let mut at_pos = vec![0u64; order.len().div_ceil(64)];
         for &id in &cone {
-            let pos = csr.eval_pos(id);
+            let pos = levels.eval_pos(id);
             if pos != u32::MAX {
                 at_pos[pos as usize / 64] |= 1 << (pos % 64);
             }
@@ -159,7 +155,7 @@ impl<'a> SearchMachines<'a> {
             cone_rank[id.index()] = rank as u32;
             fx_relevant[id.index()] = 1;
             // A change of a fanin can move the gate on or off the frontier.
-            for &fi in csr.fanins(id) {
+            for &fi in netlist.fanins(id) {
                 fx_relevant[fi.index()] = 1;
             }
         }
@@ -174,7 +170,6 @@ impl<'a> SearchMachines<'a> {
         let slots = window * num_nodes;
         let mut machines = SearchMachines {
             netlist,
-            csr,
             fault,
             good,
             faulty,
@@ -291,7 +286,7 @@ impl<'a> SearchMachines<'a> {
     /// its healthy driver is at the opposite of the stuck value.
     #[inline]
     pub fn has_d_input(&self, t: usize, id: NodeId) -> bool {
-        self.csr.fanins(id).iter().enumerate().any(|(pin, &f)| {
+        self.netlist.fanins(id).iter().enumerate().any(|(pin, &f)| {
             if self.fault.site == (FaultSite::Input { gate: id, pin }) {
                 matches!(self.good.value(t, f).to_bool(), Some(b) if b != self.fault.stuck_at)
             } else {
@@ -354,8 +349,11 @@ impl<'a> SearchMachines<'a> {
     /// same-frame gate fanouts (flip-flop fanouts surface as their own change
     /// events in the next frame).
     fn update_fault_effects(&mut self) {
-        let csr = self.csr;
-        let num_nodes = self.netlist.num_nodes();
+        let netlist = self.netlist;
+        // Taken once: the pushes below would otherwise make the compiler
+        // reload the kind slice through the `&Netlist` on every fanout.
+        let kinds = netlist.kinds();
+        let num_nodes = netlist.num_nodes();
         debug_assert!(self.dirty.is_empty());
         for source in 0..2 {
             let changed = if source == 0 {
@@ -375,8 +373,8 @@ impl<'a> SearchMachines<'a> {
                     self.dirty_flag[slot as usize] = true;
                     self.dirty.push(slot);
                 }
-                for &fo in csr.fanouts(NodeId(node as u32)) {
-                    if csr.kind(fo).is_sequential() {
+                for &fo in netlist.fanouts(NodeId(node as u32)) {
+                    if kinds[fo.index()].is_sequential() {
                         continue; // surfaces as its own event in frame + 1
                     }
                     if self.cone_rank[fo.index()] == NOT_IN_CONE {
@@ -492,7 +490,7 @@ mod tests {
         let levels = levelize(&n).unwrap();
         let g = n.require("g").unwrap();
         let m = SearchMachines::new(&n, levels, 1, Fault::output(g, true));
-        let names: Vec<&str> = m.cone_gates().iter().map(|&id| n.node(id).name).collect();
+        let names: Vec<&str> = m.cone_gates().iter().map(|&id| n.node_name(id)).collect();
         assert_eq!(names, vec!["g", "h"], "k is outside the fault cone");
         let h = n.require("h").unwrap();
         let k = n.require("k").unwrap();

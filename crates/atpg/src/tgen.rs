@@ -13,13 +13,11 @@
 //! immediate backtracks and hints bias the backtrace (paper §4).
 
 use crate::config::{AtpgOptions, LearningMode};
-use crate::learned::{IncrementalLayer, LearnedData, LiteralAdjacency};
+use crate::learned::{IncrementalLayer, LiteralAdjacency};
 use crate::machines::{MachineMark, SearchMachines};
-use crate::Result;
-use sla_netlist::levelize::{levelize, Levelization};
-use sla_netlist::{FastHashMap, GateType, Netlist, NodeId, NodeKind};
-use sla_sim::{eval_gate3, EventSim, Fault, FaultSite, Logic3, TestSequence};
-use std::borrow::Cow;
+use sla_netlist::levelize::Levelization;
+use sla_netlist::{GateType, Netlist, NodeId, NodeKind};
+use sla_sim::{EventSim, Fault, FaultSite, Logic3, TestSequence};
 
 /// Hard bound on the decisions of one window search, a safety net against
 /// degenerate search trees on large circuits.
@@ -73,44 +71,23 @@ struct Decision {
 /// Sequential PODEM test generator.
 ///
 /// The levelization and the compiled implication adjacency are read-only
-/// during a search. A standalone generator ([`TestGenerator::new`]) owns the
-/// adjacency. The ATPG engine compiles it once per `advance` call, and every
-/// worker's generator borrows it ([`TestGenerator::with_shared`]).
+/// during a search. The ATPG engine compiles the adjacency once per
+/// `advance` call, and every worker's generator borrows it.
 #[derive(Debug)]
 pub struct TestGenerator<'a> {
     netlist: &'a Netlist,
     levels: Levelization<'a>,
     config: AtpgOptions,
     /// CSR adjacency over the learned implications.
-    adjacency: Cow<'a, LiteralAdjacency>,
+    adjacency: &'a LiteralAdjacency,
 }
 
 impl<'a> TestGenerator<'a> {
-    /// Builds a standalone generator. The learned data is consulted only at
-    /// construction time (it is compiled into the indexed implication
-    /// adjacency).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the combinational logic cannot be levelized.
-    pub fn new(netlist: &'a Netlist, config: AtpgOptions, learned: &LearnedData) -> Result<Self> {
-        Ok(TestGenerator {
-            netlist,
-            levels: levelize(netlist)?,
-            config,
-            adjacency: Cow::Owned(LiteralAdjacency::for_mode(
-                learned,
-                config.learning,
-                netlist.num_nodes(),
-            )),
-        })
-    }
-
-    /// Builds a generator on state shared with other generators, infallibly
-    /// and without copying: `levels` must be the netlist's levelization and
-    /// `adjacency` the learned data compiled for `config.learning`
+    /// Builds a generator on borrowed state, infallibly and without
+    /// copying: `levels` must be the netlist's levelization and `adjacency`
+    /// the learned data compiled for `config.learning`
     /// ([`LiteralAdjacency::for_mode`]).
-    pub fn with_shared(
+    pub fn new(
         netlist: &'a Netlist,
         levels: Levelization<'a>,
         adjacency: &'a LiteralAdjacency,
@@ -120,7 +97,7 @@ impl<'a> TestGenerator<'a> {
             netlist,
             levels,
             config,
-            adjacency: Cow::Borrowed(adjacency),
+            adjacency,
         }
     }
 
@@ -194,7 +171,7 @@ impl<'a> TestGenerator<'a> {
         // decision path (three-valued simulation is monotone), so each update
         // processes exactly the newly binary values of the good machine.
         let mut layer = IncrementalLayer::new(
-            &self.adjacency,
+            self.adjacency,
             self.config.learning,
             window,
             self.netlist.num_nodes(),
@@ -275,85 +252,6 @@ impl<'a> TestGenerator<'a> {
                 }
             }
         }
-    }
-
-    /// Simulates good and faulty machines over `window` frames under the
-    /// given primary-input assignments (everything else `X`, initial state
-    /// `X`), from scratch.
-    ///
-    /// This is the retained reference implementation of the event-driven
-    /// [`SearchMachines`] state the search loop actually maintains; the
-    /// property test `tests/incremental_sim_prop.rs` asserts the two are
-    /// bit-exact under arbitrary decide/flip/backtrack scripts.
-    pub fn simulate_reference(
-        &self,
-        fault: &Fault,
-        window: usize,
-        assigned: &FastHashMap<(usize, u32), bool>,
-    ) -> (Vec<Vec<Logic3>>, Vec<Vec<Logic3>>) {
-        let n = self.netlist.num_nodes();
-        let mut good = Vec::with_capacity(window);
-        let mut faulty = Vec::with_capacity(window);
-        let mut state_g = vec![Logic3::X; n];
-        let mut state_f = vec![Logic3::X; n];
-
-        for frame in 0..window {
-            let mut vg = vec![Logic3::X; n];
-            let mut vf = vec![Logic3::X; n];
-            for &pi in self.netlist.inputs() {
-                if let Some(&b) = assigned.get(&(frame, pi.0)) {
-                    vg[pi.index()] = Logic3::from_bool(b);
-                    vf[pi.index()] = Logic3::from_bool(b);
-                }
-            }
-            for s in self.netlist.sequential_elements() {
-                vg[s.index()] = state_g[s.index()];
-                vf[s.index()] = state_f[s.index()];
-            }
-            // Output faults on frame inputs.
-            if let FaultSite::Output(node) = fault.site {
-                let node_ref = self.netlist.node(node);
-                if node_ref.is_input() || node_ref.is_sequential() {
-                    vf[node.index()] = Logic3::from_bool(fault.stuck_at);
-                }
-            }
-            // Combinational evaluation.
-            for &id in self.levels.order() {
-                let node = self.netlist.node(id);
-                let NodeKind::Gate(gate) = node.kind else {
-                    continue;
-                };
-                vg[id.index()] = eval_gate3(gate, node.fanins.iter().map(|f| vg[f.index()]));
-                let faulty_value = eval_gate3(
-                    gate,
-                    node.fanins.iter().enumerate().map(|(pin, &d)| {
-                        if fault.site == (FaultSite::Input { gate: id, pin }) {
-                            Logic3::from_bool(fault.stuck_at)
-                        } else {
-                            vf[d.index()]
-                        }
-                    }),
-                );
-                vf[id.index()] = if fault.site == FaultSite::Output(id) {
-                    Logic3::from_bool(fault.stuck_at)
-                } else {
-                    faulty_value
-                };
-            }
-            // Next state.
-            for s in self.netlist.sequential_elements() {
-                let data = self.netlist.fanins(s)[0];
-                state_g[s.index()] = vg[data.index()];
-                state_f[s.index()] = if fault.site == FaultSite::Output(s) {
-                    Logic3::from_bool(fault.stuck_at)
-                } else {
-                    vf[data.index()]
-                };
-            }
-            good.push(vg);
-            faulty.push(vf);
-        }
-        (good, faulty)
     }
 
     /// Picks the next objective: excite the fault if it is not excited yet,
@@ -580,11 +478,16 @@ enum WindowOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learned::LearnedData;
+    use sla_netlist::levelize::levelize;
     use sla_netlist::NetlistBuilder;
     use sla_sim::FaultSimulator;
 
-    fn generator(n: &Netlist, config: AtpgOptions) -> TestGenerator<'_> {
-        TestGenerator::new(n, config, &LearnedData::new()).unwrap()
+    /// Runs the generator without learned data on `fault`.
+    fn generate(n: &Netlist, config: AtpgOptions, fault: &Fault) -> GenResult {
+        let adjacency =
+            LiteralAdjacency::for_mode(&LearnedData::new(), config.learning, n.num_nodes());
+        TestGenerator::new(n, levelize(n).unwrap(), &adjacency, config).generate(fault)
     }
 
     /// Combinational circuit: z = AND(a, b).
@@ -612,9 +515,8 @@ mod tests {
     #[test]
     fn detects_simple_combinational_fault() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
-        let result = gen.generate(&Fault::output(z, false));
+        let result = generate(&n, AtpgOptions::default(), &Fault::output(z, false));
         let GenOutcome::Detected(seq) = result.outcome else {
             panic!("expected a test, got {:?}", result.outcome);
         };
@@ -626,10 +528,9 @@ mod tests {
     #[test]
     fn propagates_through_flip_flops_by_growing_the_window() {
         let n = pipelined();
-        let gen = generator(&n, AtpgOptions::default());
         let g = n.require("g").unwrap();
         let fault = Fault::output(g, true);
-        let result = gen.generate(&fault);
+        let result = generate(&n, AtpgOptions::default(), &fault);
         let GenOutcome::Detected(seq) = result.outcome else {
             panic!("expected a test, got {:?}", result.outcome);
         };
@@ -647,11 +548,11 @@ mod tests {
         b.gate("z", GateType::Or, &["a", "na"]).unwrap();
         b.output("z").unwrap();
         let n = b.build().unwrap();
+        let z = n.require("z").unwrap();
         // Proving redundancy requires exhausting the search space, which needs
         // the larger backtrack budget (the paper's second experiment stage).
-        let gen = generator(&n, AtpgOptions::builder().backtrack_limit(1000).build());
-        let z = n.require("z").unwrap();
-        let result = gen.generate(&Fault::output(z, true));
+        let config = AtpgOptions::builder().backtrack_limit(1000).build();
+        let result = generate(&n, config, &Fault::output(z, true));
         assert_eq!(result.outcome, GenOutcome::Untestable);
     }
 
@@ -659,21 +560,19 @@ mod tests {
     fn zero_backtrack_budget_aborts_hard_faults() {
         let n = pipelined();
         let config = AtpgOptions::builder().backtrack_limit(0).build();
-        let gen = generator(&n, config);
         let g = n.require("g").unwrap();
         // With essentially no budget the generator must not claim untestable
         // for a testable fault; it either finds the test or aborts.
-        let result = gen.generate(&Fault::output(g, true));
+        let result = generate(&n, config, &Fault::output(g, true));
         assert_ne!(result.outcome, GenOutcome::Untestable);
     }
 
     #[test]
     fn input_pin_faults_are_handled() {
         let n = and_circuit();
-        let gen = generator(&n, AtpgOptions::default());
         let z = n.require("z").unwrap();
         let fault = Fault::input(z, 0, true);
-        let result = gen.generate(&fault);
+        let result = generate(&n, AtpgOptions::default(), &fault);
         let GenOutcome::Detected(seq) = result.outcome else {
             panic!("expected a test, got {:?}", result.outcome);
         };

@@ -11,6 +11,8 @@ use sla_netlist::levelize::levelize;
 use sla_sim::{collapsed_fault_list, Fault, FaultSimulator, FaultSite, Logic3, TestSequence};
 
 fn atpg_with_and_without_learning(c: &mut Criterion) {
+    // The lanes run at `SLA_THREADS`, which gate runs pin to 1.
+    let threads = sla_par::thread_count();
     let netlist = retimed_circuit(&RetimedConfig {
         master_bits: 3,
         derived_bits: 8,
@@ -32,7 +34,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
         b.iter(|| {
             AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
                 .expect("levelizes")
-                .run(&faults)
+                .run_with_threads(&faults, threads)
         })
     });
     group.bench_function("forbidden_values", |b| {
@@ -46,7 +48,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
             )
             .expect("levelizes")
             .with_learned(learned.clone())
-            .run(&faults)
+            .run_with_threads(&faults, threads)
         })
     });
     group.bench_function("known_values", |b| {
@@ -60,7 +62,7 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
             )
             .expect("levelizes")
             .with_learned(learned.clone())
-            .run(&faults)
+            .run_with_threads(&faults, threads)
         })
     });
     group.finish();
@@ -71,6 +73,8 @@ fn atpg_with_and_without_learning(c: &mut Criterion) {
 /// which is exactly the path the incrementally maintained good/faulty
 /// machines (and the event-fed implication layer) accelerate.
 fn atpg_search_incremental(c: &mut Criterion) {
+    // The lanes run at `SLA_THREADS`, which gate runs pin to 1.
+    let threads = sla_par::thread_count();
     let netlist = table5_circuit(&Table5Config::default());
     let faults = collapsed_fault_list(&netlist);
     let learned = LearnedData::from(
@@ -92,7 +96,7 @@ fn atpg_search_incremental(c: &mut Criterion) {
             )
             .expect("levelizes")
             .with_learned(learned.clone())
-            .run(&faults)
+            .run_with_threads(&faults, threads)
         })
     });
     group.finish();
@@ -136,8 +140,7 @@ fn atpg_thread_scaling(c: &mut Criterion) {
 }
 
 /// Word-parallel fault dropping: one test sequence fault-simulated against
-/// the whole collapsed fault list (the per-test inner loop of
-/// `AtpgEngine::run`).
+/// the whole collapsed fault list (the per-test inner loop of an ATPG run).
 ///
 /// This is a ~30 µs microbench whose median historically moved ±30% with the
 /// code layout of the bench binary (ROADMAP "fault_dropping layout

@@ -153,7 +153,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let run = engine.run(&faults);
+    let run = engine.run_with_threads(&faults, sla_par::thread_count());
     println!(
         "atpg: {} faults -> {} detected, {} untestable, {} aborted in {} ms (budgeted)",
         faults.len(),

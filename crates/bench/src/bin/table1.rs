@@ -18,14 +18,14 @@ fn main() {
     for &stem in &stems {
         for value in [false, true] {
             let trace = sim.run(&[Injection::new(stem, value, 0)], &options);
-            let label = format!("{}={}", netlist.node(stem).name, if value { 1 } else { 0 });
+            let label = format!("{}={}", netlist.node_name(stem), if value { 1 } else { 0 });
             let mut cells = Vec::new();
             for frame in 0..trace.num_frames() {
                 let mut assigns: Vec<String> = trace
                     .assignments(frame)
                     .filter(|(node, _)| *node != stem || frame > 0)
                     .map(|(node, v)| {
-                        format!("{}={}", netlist.node(node).name, if v { 1 } else { 0 })
+                        format!("{}={}", netlist.node_name(node), if v { 1 } else { 0 })
                     })
                     .collect();
                 assigns.sort();

@@ -35,7 +35,7 @@ fn run_mode(
     } else {
         engine
     };
-    let run = engine.run(faults);
+    let run = engine.run_with_threads(faults, sla_par::thread_count());
     ModeResult {
         detected: run.stats.detected,
         untestable: run.stats.untestable,

@@ -161,12 +161,11 @@ impl<'a> SequentialLearner<'a> {
         };
 
         // The set/reset and multiple-port-latch propagation rules
-        // (paper §3.3.1 / §3.3.3) always apply: learning without them is
-        // unsound on real circuits.
+        // (paper §3.3.1 / §3.3.3) always apply inside `InjectionSim`:
+        // learning without them is unsound on real circuits.
         let options = SimOptions {
             max_frames: self.config.max_frames,
             stop_on_repeat: true,
-            respect_seq_rules: true,
         };
 
         let mut db = ImplicationDb::new();
@@ -251,7 +250,6 @@ impl<'a> SequentialLearner<'a> {
                 let multi = multi_node::run_batched(
                     &mut sim,
                     &single.support,
-                    &options,
                     mask.as_deref(),
                     target_cap,
                     self.config.learn_cross_frame,
@@ -299,10 +297,10 @@ impl<'a> SequentialLearner<'a> {
         })
     }
 
-    /// [`SequentialLearner::learn`] for callers that pin one worker-thread
-    /// count for a whole session, learning and test generation alike.
-    /// Learning runs on the calling thread, so the outcome and the schedule
-    /// are the same at every count.
+    /// [`SequentialLearner::learn`], ignoring `_threads`: learning runs on
+    /// the calling thread, so the outcome and the schedule are the same at
+    /// every count. It stays only while the benchmark client's replay calls
+    /// it; every library caller calls [`SequentialLearner::learn`].
     ///
     /// # Errors
     ///

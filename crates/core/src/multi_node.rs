@@ -173,7 +173,6 @@ fn record_tie(
 pub fn run(
     sim: &mut InjectionSim<'_>,
     support: &SupportMap,
-    options: &SimOptions,
     class_mask: Option<&[bool]>,
     max_targets: usize,
     learn_cross_frame: bool,
@@ -196,7 +195,6 @@ pub fn run(
         let run_options = SimOptions {
             max_frames: target.horizon + 1,
             stop_on_repeat: false,
-            respect_seq_rules: options.respect_seq_rules,
         };
         let trace = sim.run(&target.injections, &run_options);
 
@@ -239,7 +237,6 @@ pub fn run(
 pub fn run_batched(
     sim: &mut InjectionSim<'_>,
     support: &SupportMap,
-    options: &SimOptions,
     class_mask: Option<&[bool]>,
     max_targets: usize,
     learn_cross_frame: bool,
@@ -271,7 +268,7 @@ pub fn run_batched(
                 i = idx + 1;
             }
             Some(PlannedStep::Batch(plan)) => {
-                let traces = simulate_plan(sim, &prepared, &plan, options);
+                let traces = simulate_plan(sim, &prepared, &plan);
                 match process_batch(
                     sim,
                     &prepared,
@@ -387,7 +384,6 @@ fn simulate_plan(
     sim: &InjectionSim<'_>,
     prepared: &[Option<Target>],
     plan: &BatchPlan,
-    options: &SimOptions,
 ) -> sla_sim::PackedTraces {
     let lanes: Vec<&Target> = plan
         .batch
@@ -401,7 +397,6 @@ fn simulate_plan(
             .max()
             .expect("non-empty batch"),
         stop_on_repeat: false,
-        respect_seq_rules: options.respect_seq_rules,
     };
     let jobs: Vec<&[Injection]> = lanes.iter().map(|t| t.injections.as_slice()).collect();
     let limits: Vec<usize> = lanes.iter().map(|t| t.horizon + 1).collect();
@@ -541,7 +536,7 @@ mod tests {
             "single-node learning should not find g9=0 -> f2=0"
         );
         let mut sim = InjectionSim::new(&n).unwrap();
-        let multi = run(&mut sim, &single.support, &options, None, 0, false);
+        let multi = run(&mut sim, &single.support, None, 0, false);
         assert!(
             multi.implications.iter().any(|(imp, _)| *imp == wanted),
             "multiple-node learning must find g9=0 -> f2=0; got {:?}",
@@ -582,7 +577,7 @@ mod tests {
             "g=1 must be supported by both input stems"
         );
         let mut sim = InjectionSim::new(&n).unwrap();
-        let multi = run(&mut sim, &single.support, &options, None, 0, false);
+        let multi = run(&mut sim, &single.support, None, 0, false);
         assert!(
             multi.ties.iter().any(|t| t.node == g && t.value),
             "g must be learned tied to 1, got {:?}",
@@ -601,14 +596,7 @@ mod tests {
         let single = single_node::run(&base, &stems, &SimOptions::default(), None, false);
         let mut sim = InjectionSim::new(&n).unwrap();
         sim.add_tied(g9, true);
-        let multi = run(
-            &mut sim,
-            &single.support,
-            &SimOptions::default(),
-            None,
-            0,
-            false,
-        );
+        let multi = run(&mut sim, &single.support, None, 0, false);
         assert!(multi
             .implications
             .iter()
@@ -635,9 +623,9 @@ mod tests {
             let base = InjectionSim::new(&netlist).unwrap();
             let single = single_node::run(&base, &stems, &options, None, false);
             let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
-            let scalar = run(&mut scalar_sim, &single.support, &options, None, 0, true);
+            let scalar = run(&mut scalar_sim, &single.support, None, 0, true);
             let mut batched_sim = InjectionSim::new(&netlist).unwrap();
-            let batched = run_batched(&mut batched_sim, &single.support, &options, None, 0, true);
+            let batched = run_batched(&mut batched_sim, &single.support, None, 0, true);
             assert_eq!(scalar.implications, batched.implications);
             assert_eq!(scalar.ties, batched.ties);
             assert_eq!(scalar.cross_frame, batched.cross_frame);
@@ -684,9 +672,9 @@ mod tests {
         let single = single_node::run(&base, &stems, &options, None, false);
 
         let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
-        let scalar = run(&mut scalar_sim, &single.support, &options, None, 0, false);
+        let scalar = run(&mut scalar_sim, &single.support, None, 0, false);
         let mut batched_sim = InjectionSim::new(&netlist).unwrap();
-        let batched = run_batched(&mut batched_sim, &single.support, &options, None, 0, false);
+        let batched = run_batched(&mut batched_sim, &single.support, None, 0, false);
 
         assert_eq!(scalar.implications, batched.implications);
         assert_eq!(scalar.ties, batched.ties);
@@ -718,14 +706,7 @@ mod tests {
         let base = InjectionSim::new(&n).unwrap();
         let single = single_node::run(&base, &stems, &SimOptions::default(), None, false);
         let mut sim = InjectionSim::new(&n).unwrap();
-        let limited = run(
-            &mut sim,
-            &single.support,
-            &SimOptions::default(),
-            None,
-            1,
-            false,
-        );
+        let limited = run(&mut sim, &single.support, None, 1, false);
         assert!(limited.targets_processed <= 1);
     }
 

@@ -30,7 +30,7 @@ impl Literal {
     pub fn describe(&self, netlist: &Netlist) -> String {
         format!(
             "{}={}",
-            netlist.node(self.node).name,
+            netlist.node_name(self.node),
             if self.value { 1 } else { 0 }
         )
     }

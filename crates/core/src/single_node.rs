@@ -433,7 +433,7 @@ fn role(kind: NodeKind, class_mask: Option<&[bool]>, id: NodeId) -> Role {
 
 fn endpoint_roles(netlist: &Netlist, class_mask: Option<&[bool]>) -> Vec<Role> {
     (0u32..)
-        .zip(netlist.csr().kinds)
+        .zip(netlist.kinds())
         .map(|(id, &kind)| role(kind, class_mask, NodeId(id)))
         .collect()
 }
@@ -1040,7 +1040,7 @@ struct ListedChunk {
 
 impl ListedChunk {
     fn new(netlist: &Netlist, traces: &PackedTraces) -> ListedChunk {
-        let kinds = netlist.csr().kinds;
+        let kinds = netlist.kinds();
         let lanes = traces.lanes();
         let mut codes: Vec<Vec<u32>> = vec![Vec::new(); lanes];
         let mut ends: Vec<Vec<usize>> = vec![Vec::new(); lanes];
@@ -1235,8 +1235,8 @@ mod tests {
         let stems = sla_netlist::stems::fanout_stems(&n);
         let outcome = run(&sim, &stems, &options, None, false);
         for (imp, _) in &outcome.implications {
-            let a = n.node(imp.antecedent.node);
-            let c = n.node(imp.consequent.node);
+            let a = n.kind(imp.antecedent.node);
+            let c = n.kind(imp.consequent.node);
             assert!(!a.is_input() && !c.is_input(), "{}", imp.describe(&n));
             assert!(
                 a.is_sequential() || c.is_sequential(),

@@ -46,7 +46,7 @@ impl TiedGate {
     pub fn describe(&self, netlist: &Netlist) -> String {
         format!(
             "{} tied to {} ({})",
-            netlist.node(self.node).name,
+            netlist.node_name(self.node),
             if self.value { 1 } else { 0 },
             match self.kind {
                 TieKind::Combinational => "combinational",

@@ -7,22 +7,29 @@
 //!
 //! The levelization is computed once inside [`crate::NetlistBuilder::build`]
 //! and stored in the arena. [`levelize`] is a checked accessor: it returns a
-//! [`Levelization`] that borrows the stored order and levels, or reports the
-//! combinational cycle. The handle is `Copy` and allocates nothing, so an
-//! engine keeps one next to its `&Netlist` instead of a copy of the arrays.
+//! [`Levelization`] that borrows the stored order, levels and evaluation
+//! positions, or reports the combinational cycle. The handle is `Copy` and
+//! allocates nothing, so an engine keeps one next to its `&Netlist` instead
+//! of a copy of the arrays.
+//!
+//! [`Levelization`] is the only reader of order-derived data. Holding one
+//! proves the logic acyclic, so no level or position is read from a cyclic
+//! netlist, whose stored levels are all zero.
 
 use crate::{Netlist, NetlistError, NodeId, Result};
 
 /// A topological ordering of the combinational gates of a netlist, together
-/// with per-node logic levels, borrowed from the netlist arena.
+/// with per-node logic levels and evaluation positions, borrowed from the
+/// netlist arena.
 ///
-/// Holding one proves the combinational logic is acyclic: [`levelize`] is the
-/// only way to get one.
+/// Holding one proves the combinational logic is acyclic: outside this crate,
+/// [`levelize`] is the only way to get one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Levelization<'a> {
-    order: &'a [NodeId],
-    level: &'a [u32],
-    max_level: u32,
+    pub(crate) order: &'a [NodeId],
+    pub(crate) level: &'a [u32],
+    pub(crate) eval_pos: &'a [u32],
+    pub(crate) max_level: u32,
 }
 
 impl<'a> Levelization<'a> {
@@ -35,13 +42,17 @@ impl<'a> Levelization<'a> {
 
     /// Logic level of a node: inputs and sequential elements are level 0,
     /// a gate is 1 + max level of its fanins.
+    #[inline]
     pub fn level(&self, id: NodeId) -> u32 {
         self.level[id.index()]
     }
 
-    /// Per-node logic levels as a flat slice indexed by node id.
-    pub fn levels(&self) -> &'a [u32] {
-        self.level
+    /// Position of a node in [`Levelization::order`], or `u32::MAX` for
+    /// primary inputs and sequential elements, so a subset of gates sorts
+    /// into evaluation order without a pass over the whole order.
+    #[inline]
+    pub fn eval_pos(&self, id: NodeId) -> u32 {
+        self.eval_pos[id.index()]
     }
 
     /// Largest logic level in the circuit (sequential depth of one frame).
@@ -58,16 +69,9 @@ impl<'a> Levelization<'a> {
 /// Returns [`NetlistError::CombinationalCycle`] if the combinational gates form
 /// a cycle that is not broken by a sequential element.
 pub fn levelize(netlist: &Netlist) -> Result<Levelization<'_>> {
-    match netlist.level_data() {
-        Some((order, level, max_level)) => Ok(Levelization {
-            order,
-            level,
-            max_level,
-        }),
-        None => Err(NetlistError::CombinationalCycle(
-            netlist.first_cycle_gate_name(),
-        )),
-    }
+    netlist
+        .levelization()
+        .ok_or_else(|| NetlistError::CombinationalCycle(netlist.first_cycle_gate_name()))
 }
 
 #[cfg(test)]
@@ -136,21 +140,5 @@ mod tests {
         };
         assert!(pos("x") < pos("y"));
         assert!(pos("y") < pos("z"));
-    }
-
-    #[test]
-    fn levelize_matches_arena_level_view() {
-        let mut b = NetlistBuilder::new("view");
-        b.input("a");
-        b.gate("g1", GateType::Not, &["a"]).unwrap();
-        b.gate("g2", GateType::And, &["g1", "a"]).unwrap();
-        b.output("g2").unwrap();
-        let n = b.build().unwrap();
-        let lv = levelize(&n).unwrap();
-        let csr = n.csr();
-        for (id, _) in n.iter() {
-            assert_eq!(lv.level(id), csr.level(id));
-        }
-        assert_eq!(lv.levels().len(), n.num_nodes());
     }
 }

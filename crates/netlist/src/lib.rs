@@ -2,12 +2,14 @@
 //!
 //! This crate provides the structural substrate every other crate builds on:
 //!
-//! * [`Netlist`] — a flat arena of [`Node`]s (primary inputs, logic gates,
-//!   flip-flops and latches) with explicit fanin/fanout adjacency,
+//! * [`Netlist`] — a flat arena of nodes (primary inputs, logic gates,
+//!   flip-flops and latches) addressed by [`NodeId`], read by id for kind,
+//!   fanins, fanouts and name,
 //! * [`NetlistBuilder`] — a by-name construction API,
 //! * an ISCAS-89 `.bench` [`parser`] and [`writer`] (with pragma extensions for
 //!   clock domains, set/reset lines and multi-port latches),
-//! * [`levelize`] — topological ordering of the combinational logic,
+//! * [`levelize`] — topological ordering of the combinational logic; its
+//!   [`levelize::Levelization`] reads levels and evaluation positions,
 //! * [`stems`] — fanout-stem identification (the injection points of the
 //!   sequential learning technique).
 //!
@@ -45,7 +47,7 @@ pub mod writer;
 pub use error::NetlistError;
 pub use gate::{GateType, NodeKind};
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
-pub use netlist::{Netlist, NetlistBuilder, NetlistCsr, NetlistStats, Node, NodeId};
+pub use netlist::{Netlist, NetlistBuilder, NetlistStats, NodeId};
 pub use seq::{ClockEdge, ClockId, LineConstraint, SeqInfo, SeqKind};
 
 /// Convenient result alias used across this crate.

@@ -7,12 +7,19 @@
 //! order, which keeps structural hashes and every downstream iteration order
 //! stable); the levelized evaluation permutation is computed once at build
 //! time and stored alongside the arena, so levelization is a free lookup for
-//! every consumer. [`Node`] is a thin borrowed view into the arena that
-//! preserves the pre-arena field API (`name`, `kind`, `fanins`, `fanouts`).
+//! every consumer.
+//!
+//! The arena has two readers. [`Netlist`] reads structure and names by id:
+//! [`Netlist::kind`], [`Netlist::fanins`], [`Netlist::fanouts`] and
+//! [`Netlist::node_name`]. [`crate::levelize::Levelization`] reads what the
+//! evaluation order derives: the order itself, levels and evaluation
+//! positions. Evaluation loops never need a node's name, so only reports and
+//! writers resolve one.
 
 use crate::error::NetlistError;
 use crate::gate::{GateType, NodeKind};
 use crate::hash::FastHasher;
+use crate::levelize::Levelization;
 use crate::seq::{ClockId, SeqInfo, SeqKind};
 use crate::Result;
 use std::fmt;
@@ -32,102 +39,6 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-/// A borrowed view of a single node (primary input, gate or sequential
-/// element) of a [`Netlist`].
-///
-/// The fields borrow straight from the arena: `fanins`/`fanouts` are CSR
-/// slices, `name` points into the interned name buffer. The view is `Copy`
-/// and costs four slice/pointer loads to materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Node<'a> {
-    /// User-visible name (unique within the netlist).
-    pub name: &'a str,
-    /// Functional kind.
-    pub kind: NodeKind,
-    /// Fanin node ids, in declaration order.
-    pub fanins: &'a [NodeId],
-    /// Fanout node ids (nodes that list this node among their fanins).
-    pub fanouts: &'a [NodeId],
-}
-
-impl Node<'_> {
-    /// Returns `true` if this node is a sequential element.
-    pub fn is_sequential(&self) -> bool {
-        self.kind.is_sequential()
-    }
-
-    /// Returns `true` if this node is a primary input.
-    pub fn is_input(&self) -> bool {
-        self.kind.is_input()
-    }
-
-    /// Returns `true` if this node is a combinational gate.
-    pub fn is_gate(&self) -> bool {
-        self.kind.is_gate()
-    }
-}
-
-/// Zero-cost borrowed view of the raw arena arrays, for hot loops that want
-/// to index the CSR directly instead of going through [`Netlist`] accessors.
-///
-/// `level` is the per-node logic level (frame inputs 0, a gate one above its
-/// deepest fanin); it is all zeros when the combinational logic is cyclic —
-/// reach it only after a successful [`crate::levelize::levelize`].
-#[derive(Debug, Clone, Copy)]
-pub struct NetlistCsr<'a> {
-    /// Node kinds, indexed by node id.
-    pub kinds: &'a [NodeKind],
-    /// Fanin CSR offsets (`len = num_nodes + 1`).
-    pub fanin_off: &'a [u32],
-    /// Flat fanin edge array.
-    pub fanin_edges: &'a [NodeId],
-    /// Fanout CSR offsets (`len = num_nodes + 1`).
-    pub fanout_off: &'a [u32],
-    /// Flat fanout edge array.
-    pub fanout_edges: &'a [NodeId],
-    /// Per-node logic level.
-    pub level: &'a [u32],
-    /// Per-node position in the levelized evaluation order (`u32::MAX` for
-    /// primary inputs, sequential elements and gates on a combinational
-    /// cycle), so a subset of gates sorts into evaluation order without a
-    /// pass over the whole order.
-    pub eval_pos: &'a [u32],
-}
-
-impl<'a> NetlistCsr<'a> {
-    /// Fanin ids of `id`.
-    #[inline]
-    pub fn fanins(&self, id: NodeId) -> &'a [NodeId] {
-        let i = id.index();
-        &self.fanin_edges[self.fanin_off[i] as usize..self.fanin_off[i + 1] as usize]
-    }
-
-    /// Fanout ids of `id`.
-    #[inline]
-    pub fn fanouts(&self, id: NodeId) -> &'a [NodeId] {
-        let i = id.index();
-        &self.fanout_edges[self.fanout_off[i] as usize..self.fanout_off[i + 1] as usize]
-    }
-
-    /// Kind of `id`.
-    #[inline]
-    pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.kinds[id.index()]
-    }
-
-    /// Logic level of `id`.
-    #[inline]
-    pub fn level(&self, id: NodeId) -> u32 {
-        self.level[id.index()]
-    }
-
-    /// Position of `id` in the levelized evaluation order.
-    #[inline]
-    pub fn eval_pos(&self, id: NodeId) -> u32 {
-        self.eval_pos[id.index()]
     }
 }
 
@@ -322,24 +233,9 @@ impl Netlist {
         self.kinds.len()
     }
 
-    /// Access a node by id, as a borrowed arena view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this netlist.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> Node<'_> {
-        Node {
-            name: self.names.get(self.node_sym[id.index()]),
-            kind: self.kinds[id.index()],
-            fanins: self.fanins(id),
-            fanouts: self.fanouts(id),
-        }
-    }
-
-    /// Iterate over all `(NodeId, Node)` pairs in arena order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Node<'_>)> {
-        (0..self.kinds.len() as u32).map(|i| (NodeId(i), self.node(NodeId(i))))
+    /// Every node id, in arena (declaration) order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.kinds.len() as u32).map(NodeId)
     }
 
     /// Primary input node ids in declaration order.
@@ -364,12 +260,19 @@ impl Netlist {
 
     /// Combinational gate node ids.
     pub fn gates(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.iter().filter(|(_, n)| n.is_gate()).map(|(id, _)| id)
+        self.node_ids()
+            .filter(|id| self.kinds[id.index()].is_gate())
     }
 
     /// Number of combinational gates.
     pub fn num_gates(&self) -> usize {
         self.num_gates
+    }
+
+    /// Name of `id`, resolved through the interned name table: for reports,
+    /// writers and error messages, not for evaluation loops.
+    pub fn node_name(&self, id: NodeId) -> &str {
+        self.names.get(self.node_sym[id.index()])
     }
 
     /// Look up a node id by name.
@@ -395,11 +298,15 @@ impl Netlist {
         &self.clocks
     }
 
-    /// Functional kind of `id`, without materializing a [`Node`] view (which
-    /// also resolves the node's name).
+    /// Functional kind of `id`.
     #[inline]
     pub fn kind(&self, id: NodeId) -> NodeKind {
         self.kinds[id.index()]
+    }
+
+    /// Functional kinds of every node, indexed by node id.
+    pub fn kinds(&self) -> &[NodeKind] {
+        &self.kinds
     }
 
     /// Returns `true` if `id` is a sequential element.
@@ -436,35 +343,25 @@ impl Netlist {
         (self.fanout_off[i + 1] - self.fanout_off[i] + self.po_count[i]) as usize
     }
 
-    /// Borrowed view of the raw arena arrays for hot loops.
-    #[inline]
-    pub fn csr(&self) -> NetlistCsr<'_> {
-        NetlistCsr {
-            kinds: &self.kinds,
-            fanin_off: &self.fanin_off,
-            fanin_edges: &self.fanin_edges,
-            fanout_off: &self.fanout_off,
-            fanout_edges: &self.fanout_edges,
-            level: &self.level,
-            eval_pos: &self.eval_pos,
-        }
-    }
-
     /// Constant gates (`CONST0`/`CONST1`) in id order: the only gates whose
     /// value is binary when every primary input and the state are `X`.
     pub fn constants(&self) -> &[NodeId] {
         &self.constants
     }
 
-    /// The precomputed levelization data: `(eval_order, level, max_level)`,
-    /// or `None` when the combinational logic is cyclic.
-    pub(crate) fn level_data(&self) -> Option<(&[NodeId], &[u32], u32)> {
-        self.acyclic
-            .then_some((&self.eval_order[..], &self.level[..], self.max_level))
+    /// The levelization stored at build time, or `None` when the
+    /// combinational logic is cyclic.
+    pub(crate) fn levelization(&self) -> Option<Levelization<'_>> {
+        self.acyclic.then_some(Levelization {
+            order: &self.eval_order,
+            level: &self.level,
+            eval_pos: &self.eval_pos,
+            max_level: self.max_level,
+        })
     }
 
     /// Name of the first gate (in id order) stuck in a combinational cycle.
-    /// Only meaningful when [`Netlist::level_data`] is `None`.
+    /// Only meaningful when [`Netlist::levelization`] is `None`.
     pub(crate) fn first_cycle_gate_name(&self) -> String {
         let mut in_order = vec![false; self.kinds.len()];
         for &id in &self.eval_order {
@@ -472,7 +369,7 @@ impl Netlist {
         }
         self.gates()
             .find(|g| !in_order[g.index()])
-            .map(|g| self.node(g).name.to_string())
+            .map(|g| self.node_name(g).to_string())
             .unwrap_or_else(|| "<unknown>".to_string())
     }
 
@@ -483,9 +380,10 @@ impl Netlist {
         let mut h = FastHasher::default();
         h.write(self.name.as_bytes());
         h.write_usize(self.num_nodes());
-        for (_, node) in self.iter() {
-            h.write(node.name.as_bytes());
-            match &node.kind {
+        for (i, kind) in self.kinds.iter().enumerate() {
+            let id = NodeId(i as u32);
+            h.write(self.node_name(id).as_bytes());
+            match kind {
                 NodeKind::Input => h.write_u8(0),
                 NodeKind::Gate(g) => {
                     h.write_u8(1);
@@ -501,8 +399,9 @@ impl Netlist {
                     h.write_u8(info.ports);
                 }
             }
-            h.write_usize(node.fanins.len());
-            for f in node.fanins {
+            let fanins = self.fanins(id);
+            h.write_usize(fanins.len());
+            for f in fanins {
                 h.write_u32(f.0);
             }
         }
@@ -570,12 +469,10 @@ impl Netlist {
         // Each driver's next unread fanout slot: walking every node's fanins
         // in pin order, that slot must name the node.
         let mut cursor = off[..n].to_vec();
-        // Names without `node`, whose fanout slice a malformed table breaks.
-        let name_of = |id: NodeId| self.names.get(self.node_sym[id.index()]);
         for (i, kind) in self.kinds.iter().enumerate() {
             let id = NodeId(i as u32);
             let fanins = self.fanins(id);
-            let name = || name_of(id);
+            let name = || self.node_name(id);
             if let Some(f) = fanins.iter().find(|f| f.index() >= n) {
                 return Err(NetlistError::Invalid(format!(
                     "node `{}` has out-of-range fanin {f}",
@@ -618,7 +515,7 @@ impl Netlist {
                 if slot >= off[d + 1] || self.fanout_edges.get(slot as usize) != Some(&id) {
                     return Err(NetlistError::Invalid(format!(
                         "fanout table of `{}` does not list `{}` in (driver, pin) order",
-                        name_of(driver),
+                        self.node_name(driver),
                         name()
                     )));
                 }
@@ -629,7 +526,7 @@ impl Netlist {
         if let Some(d) = (0..n).find(|&d| cursor[d] != off[d + 1]) {
             return Err(NetlistError::Invalid(format!(
                 "fanout table of `{}` lists nodes it does not drive",
-                name_of(NodeId(d as u32))
+                self.node_name(NodeId(d as u32))
             )));
         }
         Ok(())
@@ -1165,36 +1062,22 @@ mod tests {
         let n = b.build().unwrap();
         let id = |name: &str| n.require(name).unwrap();
         assert_eq!(n.constants(), &[id("one"), id("zero")]);
-        let csr = n.csr();
         let levels = crate::levelize::levelize(&n).unwrap();
         for (pos, &gate) in levels.order().iter().enumerate() {
-            assert_eq!(csr.eval_pos(gate) as usize, pos);
+            assert_eq!(levels.eval_pos(gate) as usize, pos);
         }
-        assert_eq!(csr.eval_pos(id("a")), u32::MAX);
-        assert_eq!(csr.eval_pos(id("q")), u32::MAX);
-    }
-
-    #[test]
-    fn csr_view_matches_accessors() {
-        let n = small();
-        let csr = n.csr();
-        for (id, node) in n.iter() {
-            assert_eq!(csr.fanins(id), node.fanins);
-            assert_eq!(csr.fanouts(id), node.fanouts);
-            assert_eq!(csr.kind(id), node.kind);
-        }
+        assert_eq!(levels.eval_pos(id("a")), u32::MAX);
+        assert_eq!(levels.eval_pos(id("q")), u32::MAX);
     }
 
     #[test]
     fn arena_levels_available_after_build() {
         let n = small();
-        let (order, level, max_level) = n.level_data().expect("acyclic");
-        assert_eq!(order.len(), n.num_gates());
-        let g = n.require("g").unwrap();
-        let h = n.require("h").unwrap();
-        assert_eq!(level[g.index()], 1);
-        assert_eq!(level[h.index()], 2);
-        assert_eq!(max_level, 2);
+        let levels = n.levelization().expect("acyclic");
+        assert_eq!(levels.order().len(), n.num_gates());
+        assert_eq!(levels.level(n.require("g").unwrap()), 1);
+        assert_eq!(levels.level(n.require("h").unwrap()), 2);
+        assert_eq!(levels.max_level(), 2);
     }
 
     #[test]

@@ -707,7 +707,7 @@ q = LATCH(a)
         let src = "INPUT(a)\nOUTPUT(g)\ng = buff(a)\n";
         let n = parse_bench("ok", src).unwrap();
         assert_eq!(
-            n.node(n.require("g").unwrap()).kind.gate_type(),
+            n.kind(n.require("g").unwrap()).gate_type(),
             Some(GateType::Buf)
         );
     }
@@ -746,7 +746,7 @@ q = LATCH(a)
         let n = parse_bench("wide", &src).unwrap();
         let g = n.require("g").unwrap();
         assert_eq!(n.fanins(g).len(), 64);
-        assert_eq!(n.node(g).kind.gate_type(), Some(GateType::Nor));
+        assert_eq!(n.kind(g).gate_type(), Some(GateType::Nor));
     }
 
     #[test]
@@ -819,8 +819,8 @@ q = LATCH(a)
         assert_eq!(n.num_gates(), 2);
         assert_eq!(n.num_sequential(), 1);
         let g = n.require("g").unwrap();
-        assert_eq!(n.node(g).kind.gate_type(), Some(GateType::And));
-        let fanins: Vec<&str> = n.fanins(g).iter().map(|&f| n.node(f).name).collect();
+        assert_eq!(n.kind(g).gate_type(), Some(GateType::And));
+        let fanins: Vec<&str> = n.fanins(g).iter().map(|&f| n.node_name(f)).collect();
         assert_eq!(fanins, ["a", "z"]);
         // A keyword is a keyword only in front of `(`.
         let n = parse_bench("kw", "INPUT(a)\nINPUT = NOT(a)\nOUTPUT(INPUT)\n").unwrap();

@@ -13,21 +13,8 @@ use crate::{Netlist, NodeId};
 /// least one fanin and is also a primary output.
 pub fn fanout_stems(netlist: &Netlist) -> Vec<NodeId> {
     netlist
-        .iter()
-        .filter(|(id, _)| netlist.fanout_count(*id) > 1)
-        .map(|(id, _)| id)
-        .collect()
-}
-
-/// Returns the stems restricted to a given predicate on node ids, preserving
-/// arena order. Useful for learning only within a clock class.
-pub fn fanout_stems_filtered<F>(netlist: &Netlist, mut keep: F) -> Vec<NodeId>
-where
-    F: FnMut(NodeId) -> bool,
-{
-    fanout_stems(netlist)
-        .into_iter()
-        .filter(|&id| keep(id))
+        .node_ids()
+        .filter(|&id| netlist.fanout_count(id) > 1)
         .collect()
 }
 
@@ -48,7 +35,7 @@ mod tests {
         b.output("g3").unwrap();
         let n = b.build().unwrap();
         let stems = fanout_stems(&n);
-        let names: Vec<&str> = stems.iter().map(|&s| n.node(s).name).collect();
+        let names: Vec<&str> = stems.iter().map(|&s| n.node_name(s)).collect();
         // g1 feeds g2 and g3; i2 feeds g1 and g3; i1 only feeds g1.
         assert!(names.contains(&"g1"));
         assert!(names.contains(&"i2"));
@@ -66,20 +53,5 @@ mod tests {
         let n = b.build().unwrap();
         let stems = fanout_stems(&n);
         assert!(stems.contains(&n.require("g").unwrap()));
-    }
-
-    #[test]
-    fn filter_restricts_stems() {
-        let mut b = NetlistBuilder::new("filter");
-        b.input("a");
-        b.gate("x", GateType::Buf, &["a"]).unwrap();
-        b.gate("y", GateType::Not, &["x"]).unwrap();
-        b.gate("z", GateType::And, &["x", "y"]).unwrap();
-        b.output("z").unwrap();
-        let n = b.build().unwrap();
-        let all = fanout_stems(&n);
-        let none = fanout_stems_filtered(&n, |_| false);
-        assert!(!all.is_empty());
-        assert!(none.is_empty());
     }
 }

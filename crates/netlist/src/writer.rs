@@ -22,16 +22,16 @@ pub fn write_bench(netlist: &Netlist) -> String {
     );
 
     for &i in netlist.inputs() {
-        let _ = writeln!(out, "INPUT({})", netlist.node(i).name);
+        let _ = writeln!(out, "INPUT({})", netlist.node_name(i));
     }
     for &o in netlist.outputs() {
-        let _ = writeln!(out, "OUTPUT({})", netlist.node(o).name);
+        let _ = writeln!(out, "OUTPUT({})", netlist.node_name(o));
     }
 
     // Pragmas first so a re-parse sees them regardless of position.
     for id in netlist.sequential_elements() {
-        let node = netlist.node(id);
-        let info = node.kind.seq_info().expect("sequential element");
+        let name = netlist.node_name(id);
+        let info = netlist.seq_info(id).expect("sequential element");
         let default_clock = info.clock.index() == 0 && info.edge == ClockEdge::Rising;
         if !default_clock {
             let edge = match info.edge {
@@ -41,61 +41,52 @@ pub fn write_bench(netlist: &Netlist) -> String {
             let _ = writeln!(
                 out,
                 "#pragma clock {} {} {}",
-                node.name,
+                name,
                 netlist.clock_name(info.clock),
                 edge
             );
         }
         if info.kind == SeqKind::Latch && info.ports > 1 {
-            let _ = writeln!(out, "#pragma latch {} {}", node.name, info.ports);
+            let _ = writeln!(out, "#pragma latch {} {}", name, info.ports);
         }
         if info.set != LineConstraint::Absent {
-            let _ = writeln!(
-                out,
-                "#pragma set {} {}",
-                node.name,
-                constraint_word(info.set)
-            );
+            let _ = writeln!(out, "#pragma set {} {}", name, constraint_word(info.set));
         }
         if info.reset != LineConstraint::Absent {
             let _ = writeln!(
                 out,
                 "#pragma reset {} {}",
-                node.name,
+                name,
                 constraint_word(info.reset)
             );
         }
     }
 
-    for (_, node) in netlist.iter() {
-        match &node.kind {
+    for id in netlist.node_ids() {
+        let name = netlist.node_name(id);
+        let fanins = netlist.fanins(id);
+        match netlist.kind(id) {
             NodeKind::Input => {}
             NodeKind::Gate(g) => {
-                let args: Vec<&str> = node.fanins.iter().map(|f| netlist.node(*f).name).collect();
+                let args: Vec<&str> = fanins.iter().map(|&f| netlist.node_name(f)).collect();
                 match g {
                     GateType::Const0 | GateType::Const1 => {
-                        let _ = writeln!(out, "{} = {}()", node.name, g.iscas_name());
+                        let _ = writeln!(out, "{} = {}()", name, g.iscas_name());
                     }
                     _ => {
                         // `iscas_name` spells the buffer `BUFF`, matching the
                         // ISCAS-89 dialect other tools emit and expect.
-                        let _ = writeln!(
-                            out,
-                            "{} = {}({})",
-                            node.name,
-                            g.iscas_name(),
-                            args.join(", ")
-                        );
+                        let _ = writeln!(out, "{} = {}({})", name, g.iscas_name(), args.join(", "));
                     }
                 }
             }
             NodeKind::Seq(info) => {
-                let data = netlist.node(node.fanins[0]).name;
+                let data = netlist.node_name(fanins[0]);
                 let kw = match info.kind {
                     SeqKind::FlipFlop => "DFF",
                     SeqKind::Latch => "LATCH",
                 };
-                let _ = writeln!(out, "{} = {}({})", node.name, kw, data);
+                let _ = writeln!(out, "{} = {}({})", name, kw, data);
             }
         }
     }

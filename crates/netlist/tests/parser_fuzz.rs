@@ -259,13 +259,13 @@ proptest! {
         let n2 = parse_bench("gen", &written).expect("writer output must parse");
         prop_assert_eq!(n1.num_nodes(), n2.num_nodes());
         prop_assert_eq!(n1.outputs().len(), n2.outputs().len());
-        for (_, node) in n1.iter() {
-            let id2 = n2.require(node.name).expect("same names");
-            let node2 = n2.node(id2);
-            prop_assert_eq!(&node.kind, &node2.kind, "kind of {}", node.name);
-            let f1: Vec<&str> = node.fanins.iter().map(|&f| n1.node(f).name).collect();
-            let f2: Vec<&str> = node2.fanins.iter().map(|&f| n2.node(f).name).collect();
-            prop_assert_eq!(f1, f2, "fanins of {}", node.name);
+        for id in n1.node_ids() {
+            let name = n1.node_name(id);
+            let id2 = n2.require(name).expect("same names");
+            prop_assert_eq!(n1.kind(id), n2.kind(id2), "kind of {}", name);
+            let f1: Vec<&str> = n1.fanins(id).iter().map(|&f| n1.node_name(f)).collect();
+            let f2: Vec<&str> = n2.fanins(id2).iter().map(|&f| n2.node_name(f)).collect();
+            prop_assert_eq!(f1, f2, "fanins of {}", name);
         }
         prop_assert_eq!(written, write_bench(&n2));
     }

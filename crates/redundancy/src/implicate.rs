@@ -50,11 +50,10 @@ fn forward_pass(
     changed: &mut bool,
 ) -> bool {
     for &id in levels.order() {
-        let node = netlist.node(id);
-        let NodeKind::Gate(gate) = node.kind else {
+        let NodeKind::Gate(gate) = netlist.kind(id) else {
             continue;
         };
-        let computed = eval_gate3(gate, node.fanins.iter().map(|f| values[f.index()]));
+        let computed = eval_gate3(gate, netlist.fanins(id).iter().map(|f| values[f.index()]));
         if computed.is_binary() {
             match values[id.index()] {
                 Logic3::X => {
@@ -78,14 +77,13 @@ fn backward_pass(
     changed: &mut bool,
 ) -> bool {
     for &id in levels.order().iter().rev() {
-        let node = netlist.node(id);
-        let NodeKind::Gate(gate) = node.kind else {
+        let NodeKind::Gate(gate) = netlist.kind(id) else {
             continue;
         };
         let Some(out) = values[id.index()].to_bool() else {
             continue;
         };
-        let fanins = node.fanins;
+        let fanins = netlist.fanins(id);
         let force = |node: NodeId, v: bool, values: &mut [Logic3], changed: &mut bool| -> bool {
             match values[node.index()] {
                 Logic3::X => {

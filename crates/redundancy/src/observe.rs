@@ -32,11 +32,10 @@ pub fn observable_nodes(netlist: &Netlist, implied: &[Logic3]) -> Vec<bool> {
         if !observable[id.index()] {
             continue;
         }
-        let node = netlist.node(id);
-        let NodeKind::Gate(_) = node.kind else {
+        let NodeKind::Gate(_) = netlist.kind(id) else {
             continue;
         };
-        for (pin, &fanin) in node.fanins.iter().enumerate() {
+        for (pin, &fanin) in netlist.fanins(id).iter().enumerate() {
             if branch_open(netlist, implied, id, pin) {
                 observable[fanin.index()] = true;
             }
@@ -48,14 +47,14 @@ pub fn observable_nodes(netlist: &Netlist, implied: &[Logic3]) -> Vec<bool> {
 /// Returns `true` when the path from input pin `pin` of `gate` through the
 /// gate is not blocked by an implied controlling value on a side input.
 fn branch_open(netlist: &Netlist, implied: &[Logic3], gate: NodeId, pin: usize) -> bool {
-    let node = netlist.node(gate);
-    let NodeKind::Gate(gtype) = node.kind else {
+    let NodeKind::Gate(gtype) = netlist.kind(gate) else {
         return false;
     };
     let Some(controlling) = gtype.controlling_value() else {
         return true; // XOR/XNOR/NOT/BUF never block
     };
-    node.fanins
+    netlist
+        .fanins(gate)
         .iter()
         .enumerate()
         .all(|(j, &side)| j == pin || implied[side.index()] != Logic3::from_bool(controlling))

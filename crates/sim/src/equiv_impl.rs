@@ -109,9 +109,11 @@ impl EquivClasses {
 pub fn find_equivalences(netlist: &Netlist, config: &EquivConfig) -> Result<EquivClasses> {
     let levels = levelize(netlist)?;
     let frame_inputs: Vec<NodeId> = netlist
-        .iter()
-        .filter(|(_, n)| n.is_input() || n.is_sequential())
-        .map(|(id, _)| id)
+        .node_ids()
+        .filter(|&id| {
+            let kind = netlist.kind(id);
+            kind.is_input() || kind.is_sequential()
+        })
         .collect();
 
     let exhaustive = frame_inputs.len() <= config.exhaustive_input_limit;
@@ -137,15 +139,16 @@ pub fn find_equivalences(netlist: &Netlist, config: &EquivConfig) -> Result<Equi
             word_values[id.index()] = pattern;
         }
         for &id in levels.order() {
-            let node = netlist.node(id);
-            let NodeKind::Gate(gate) = node.kind else {
+            let NodeKind::Gate(gate) = netlist.kind(id) else {
                 continue;
             };
-            word_values[id.index()] =
-                eval_gate64(gate, node.fanins.iter().map(|f| word_values[f.index()]));
+            word_values[id.index()] = eval_gate64(
+                gate,
+                netlist.fanins(id).iter().map(|f| word_values[f.index()]),
+            );
         }
-        for (id, _) in netlist.iter() {
-            signatures[id.index()].push(word_values[id.index()]);
+        for (signature, &word) in signatures.iter_mut().zip(&word_values) {
+            signature.push(word);
         }
     }
 

@@ -20,6 +20,12 @@
 //! sources and drains the level buckets: the cost is proportional to the
 //! binary base slots, not to `window × nodes`.
 //!
+//! The machine holds two handles on one netlist arena: the `&Netlist`, which
+//! the event loop reads for each node's kind, fanins and fanouts, and the
+//! caller's [`Levelization`], which gives each node's level and so its event
+//! bucket. Constructing it cannot fail, because holding a levelization
+//! proves the logic acyclic.
+//!
 //! The machine optionally carries a single stuck-at [`Fault`] with the exact
 //! semantics of the ATPG test generator's faulty machine: the faulted output
 //! line is held at the stuck value in every frame, and an input-pin fault is
@@ -34,21 +40,19 @@
 use crate::eval::{eval_gate3, eval_gate3_at};
 use crate::fault::{Fault, FaultSite};
 use crate::value::Logic3;
-use crate::Result;
-use sla_netlist::levelize::{levelize, Levelization};
-use sla_netlist::{Netlist, NetlistCsr, NodeId, NodeKind};
+use sla_netlist::levelize::Levelization;
+use sla_netlist::{Netlist, NodeId, NodeKind};
 
 /// Event-driven, trail-undoable simulation of `window` time frames.
 #[derive(Debug, Clone)]
 pub struct EventSim<'a> {
     netlist: &'a Netlist,
-    /// Raw arena view; the event loop indexes the CSR arrays directly. Its
-    /// `level` slice doubles as the per-node logic level within a frame:
-    /// frame inputs (primary inputs and sequential elements) are 0, a gate is
-    /// one above its deepest fanin. Events are drained in `(frame, level)`
-    /// order — same-level nodes are independent, so every node is recomputed
-    /// after all of its same-frame fanins.
-    csr: NetlistCsr<'a>,
+    /// Per-node logic levels within a frame: frame inputs (primary inputs
+    /// and sequential elements) are 0, a gate is one above its deepest
+    /// fanin. Events are drained in `(frame, level)` order — same-level
+    /// nodes are independent, so every node is recomputed after all of its
+    /// same-frame fanins.
+    levels: Levelization<'a>,
     window: usize,
     num_nodes: usize,
     fault: Option<Fault>,
@@ -81,21 +85,10 @@ pub struct EventSim<'a> {
 }
 
 impl<'a> EventSim<'a> {
-    /// Builds a machine over `window` frames, levelizing the netlist.
-    ///
-    /// All primary inputs start unassigned (`X`) and the initial state is
-    /// `X`; see [`EventSim::with_levels`] for how the base state is built.
-    ///
-    /// # Errors
-    ///
-    /// Returns a levelization error if the combinational logic is cyclic.
-    pub fn new(netlist: &'a Netlist, window: usize, fault: Option<Fault>) -> Result<Self> {
-        let levels = levelize(netlist)?;
-        Ok(EventSim::with_levels(netlist, levels, window, fault))
-    }
-
-    /// Builds a machine on a [`Levelization`] the caller already holds, so
-    /// it cannot fail (the levelization proves the logic acyclic).
+    /// Builds a machine over `window` frames on the netlist's
+    /// [`Levelization`], so it cannot fail (the levelization proves the logic
+    /// acyclic). All primary inputs start unassigned (`X`) and the initial
+    /// state is `X`.
     ///
     /// The base state comes from event propagation out of an all-`X` fill:
     /// the constant gates and the fault site (the stuck line, or the gate of
@@ -103,9 +96,9 @@ impl<'a> EventSim<'a> {
     /// are drained, so only slots reachable from those sources are ever
     /// recomputed. [`EventSim::changed`] then lists every binary base slot,
     /// ascending.
-    pub fn with_levels(
+    pub fn new(
         netlist: &'a Netlist,
-        levels: Levelization<'_>,
+        levels: Levelization<'a>,
         window: usize,
         fault: Option<Fault>,
     ) -> Self {
@@ -113,7 +106,7 @@ impl<'a> EventSim<'a> {
         let levels_per_frame = levels.max_level() as usize + 1;
         let mut sim = EventSim {
             netlist,
-            csr: netlist.csr(),
+            levels,
             window,
             num_nodes,
             fault,
@@ -170,7 +163,7 @@ impl<'a> EventSim<'a> {
     /// the base values of frames `0..window` are unchanged by widening. The
     /// appended frames start at `X` and settle by event propagation from the
     /// constant gates, the fault site and the first new frame's sequential
-    /// elements (see [`EventSim::with_levels`]). The result is bit-identical
+    /// elements (see [`EventSim::new`]). The result is bit-identical
     /// to constructing a fresh machine at `new_window`.
     ///
     /// The machine must be at its base state: every assignment undone
@@ -205,10 +198,8 @@ impl<'a> EventSim<'a> {
             }
         }
         let base = frame * self.num_nodes;
-        // Hot path: read kind and fanins straight off the CSR arrays instead
-        // of materializing a `Node` view per event.
-        let fanins = self.csr.fanins(id);
-        match self.csr.kind(id) {
+        let fanins = self.netlist.fanins(id);
+        match self.netlist.kind(id) {
             // Inputs hold their assigned value; they are never event targets.
             NodeKind::Input => self.values[base + id.index()],
             NodeKind::Seq(_) => {
@@ -244,7 +235,7 @@ impl<'a> EventSim<'a> {
     /// The slot must currently be unassigned (`X`); a flipped decision must
     /// first be retracted with [`EventSim::undo_to`].
     pub fn assign(&mut self, frame: usize, pi: NodeId, value: bool) {
-        debug_assert!(self.netlist.node(pi).is_input(), "assignments target PIs");
+        debug_assert!(self.netlist.kind(pi).is_input(), "assignments target PIs");
         self.changed.clear();
         let slot = frame * self.num_nodes + pi.index();
         // A stuck fault on the input line shadows the assignment, exactly as
@@ -265,11 +256,13 @@ impl<'a> EventSim<'a> {
     }
 
     fn schedule_fanouts(&mut self, frame: usize, id: NodeId) {
-        let csr = self.csr;
-        for &fo in csr.fanouts(id) {
+        // The kind slice is taken once: `enqueue` pushes, after which the
+        // compiler would reload it through the `&Netlist` on every fanout.
+        let kinds = self.netlist.kinds();
+        for &fo in self.netlist.fanouts(id) {
             // A sequential fanout samples this value as its next state: the
             // event crosses the flip-flop boundary into the next frame.
-            let target_frame = if csr.kind(fo).is_sequential() {
+            let target_frame = if kinds[fo.index()].is_sequential() {
                 frame + 1
             } else {
                 frame
@@ -286,7 +279,7 @@ impl<'a> EventSim<'a> {
         let slot = frame * self.num_nodes + id.index();
         if !self.queued[slot] {
             self.queued[slot] = true;
-            let bucket = frame * self.levels_per_frame + self.csr.level(id) as usize;
+            let bucket = frame * self.levels_per_frame + self.levels.level(id) as usize;
             self.buckets[bucket].push(id.0);
             self.pending += 1;
         }
@@ -390,17 +383,12 @@ impl<'a> EventSim<'a> {
     pub fn recomputed(&self) -> u64 {
         self.recomputed
     }
-
-    /// The window as per-frame vectors (convenience for tests and the
-    /// from-scratch reference comparisons).
-    pub fn to_frames(&self) -> Vec<Vec<Logic3>> {
-        (0..self.window).map(|t| self.frame(t).to_vec()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sla_netlist::levelize::levelize;
     use sla_netlist::{GateType, NetlistBuilder};
 
     /// Sequential circuit: q captures NAND(a, b), o = NOT q.
@@ -418,7 +406,7 @@ mod tests {
     #[test]
     fn assignments_propagate_across_frames() {
         let n = pipelined();
-        let mut sim = EventSim::new(&n, 3, None).unwrap();
+        let mut sim = EventSim::new(&n, levelize(&n).unwrap(), 3, None);
         let a = n.require("a").unwrap();
         let b = n.require("b").unwrap();
         let q = n.require("q").unwrap();
@@ -436,7 +424,7 @@ mod tests {
     #[test]
     fn undo_restores_previous_values() {
         let n = pipelined();
-        let mut sim = EventSim::new(&n, 2, None).unwrap();
+        let mut sim = EventSim::new(&n, levelize(&n).unwrap(), 2, None);
         let a = n.require("a").unwrap();
         let b = n.require("b").unwrap();
         let q = n.require("q").unwrap();
@@ -455,7 +443,7 @@ mod tests {
     #[test]
     fn changed_lists_newly_binary_slots() {
         let n = pipelined();
-        let mut sim = EventSim::new(&n, 2, None).unwrap();
+        let mut sim = EventSim::new(&n, levelize(&n).unwrap(), 2, None);
         let a = n.require("a").unwrap();
         sim.assign(0, a, false);
         let g = n.require("g").unwrap();
@@ -476,7 +464,7 @@ mod tests {
         let g = n.require("g").unwrap();
         let q = n.require("q").unwrap();
         let fault = Fault::output(g, true);
-        let mut sim = EventSim::new(&n, 2, Some(fault)).unwrap();
+        let mut sim = EventSim::new(&n, levelize(&n).unwrap(), 2, Some(fault));
         let a = n.require("a").unwrap();
         let b = n.require("b").unwrap();
         sim.assign(0, a, true);
@@ -496,7 +484,12 @@ mod tests {
         b.output("h").unwrap();
         let n = b.build().unwrap();
         let g = n.require("g").unwrap();
-        let mut sim = EventSim::new(&n, 1, Some(Fault::input(g, 0, false))).unwrap();
+        let mut sim = EventSim::new(
+            &n,
+            levelize(&n).unwrap(),
+            1,
+            Some(Fault::input(g, 0, false)),
+        );
         let a = n.require("a").unwrap();
         sim.assign(0, a, true);
         // Pin 0 of g reads the stuck 0; the branch to h is healthy.
@@ -510,7 +503,7 @@ mod tests {
         let levels = levelize(&n).unwrap();
         let g = n.require("g").unwrap();
         for fault in [None, Some(Fault::output(g, true))] {
-            let mut grown = EventSim::with_levels(&n, levels, 1, fault);
+            let mut grown = EventSim::new(&n, levels, 1, fault);
             // Decide, undo to base, then grow 1 -> 2 -> 4.
             let a = n.require("a").unwrap();
             let mark = grown.mark();
@@ -518,7 +511,7 @@ mod tests {
             grown.undo_to(mark);
             for w in [2usize, 4] {
                 grown.grow(w);
-                let fresh = EventSim::with_levels(&n, levels, w, fault);
+                let fresh = EventSim::new(&n, levels, w, fault);
                 assert_eq!(grown.values(), fresh.values(), "window {w}");
                 assert_eq!(grown.changed(), fresh.changed(), "window {w}");
                 assert_eq!(grown.window(), fresh.window());
@@ -528,7 +521,7 @@ mod tests {
             let q = n.require("q").unwrap();
             grown.assign(0, a, true);
             grown.assign(0, b, true);
-            let mut fresh = EventSim::with_levels(&n, levels, 4, fault);
+            let mut fresh = EventSim::new(&n, levels, 4, fault);
             fresh.assign(0, a, true);
             fresh.assign(0, b, true);
             assert_eq!(grown.value(1, q), fresh.value(1, q));
@@ -541,7 +534,7 @@ mod tests {
     fn grow_rejects_applied_assignments() {
         let n = pipelined();
         let levels = levelize(&n).unwrap();
-        let mut sim = EventSim::with_levels(&n, levels, 1, None);
+        let mut sim = EventSim::new(&n, levels, 1, None);
         sim.assign(0, n.require("a").unwrap(), true);
         sim.grow(2);
     }
@@ -549,7 +542,7 @@ mod tests {
     #[test]
     fn base_state_recomputes_only_what_its_sources_reach() {
         let n = pipelined();
-        let sim = EventSim::new(&n, 4, None).unwrap();
+        let sim = EventSim::new(&n, levelize(&n).unwrap(), 4, None);
         assert_eq!(sim.recomputed(), 0, "no constant and no fault: all X");
         assert!(sim.changed().is_empty());
 
@@ -557,7 +550,7 @@ mod tests {
         let g = n.require("g").unwrap();
         let q = n.require("q").unwrap();
         let o = n.require("o").unwrap();
-        let sim = EventSim::new(&n, 2, Some(Fault::output(g, true))).unwrap();
+        let sim = EventSim::new(&n, levelize(&n).unwrap(), 2, Some(Fault::output(g, true)));
         assert_eq!(sim.recomputed(), 4, "g twice, then q and o in frame 1");
         let nn = n.num_nodes();
         let slots = [g.index(), nn + g.index(), nn + q.index(), nn + o.index()];
@@ -574,7 +567,7 @@ mod tests {
         b.gate("g", GateType::And, &["a", "one"]).unwrap();
         b.output("g").unwrap();
         let n = b.build().unwrap();
-        let sim = EventSim::new(&n, 2, None).unwrap();
+        let sim = EventSim::new(&n, levelize(&n).unwrap(), 2, None);
         let one = n.require("one").unwrap();
         assert_eq!(sim.value(0, one), Logic3::One);
         assert_eq!(sim.value(1, one), Logic3::One);

@@ -57,9 +57,9 @@ impl Fault {
     pub fn describe(&self, netlist: &Netlist) -> String {
         let sa = if self.stuck_at { 1 } else { 0 };
         match self.site {
-            FaultSite::Output(n) => format!("{} s-a-{sa}", netlist.node(n).name),
+            FaultSite::Output(n) => format!("{} s-a-{sa}", netlist.node_name(n)),
             FaultSite::Input { gate, pin } => {
-                format!("{}/{pin} s-a-{sa}", netlist.node(gate).name)
+                format!("{}/{pin} s-a-{sa}", netlist.node_name(gate))
             }
         }
     }
@@ -69,12 +69,12 @@ impl Fault {
 /// output and on every gate input pin.
 pub fn full_fault_list(netlist: &Netlist) -> Vec<Fault> {
     let mut faults = Vec::new();
-    for (id, node) in netlist.iter() {
+    for id in netlist.node_ids() {
         for v in [false, true] {
             faults.push(Fault::output(id, v));
         }
-        if node.is_gate() {
-            for pin in 0..node.fanins.len() {
+        if netlist.kind(id).is_gate() {
+            for pin in 0..netlist.fanins(id).len() {
                 for v in [false, true] {
                     faults.push(Fault::input(id, pin, v));
                 }
@@ -91,14 +91,15 @@ pub fn full_fault_list(netlist: &Netlist) -> Vec<Fault> {
 /// outputs as pseudo primary inputs extends it to the sequential circuit.
 pub fn collapsed_fault_list(netlist: &Netlist) -> Vec<Fault> {
     let mut faults = Vec::new();
-    for (id, node) in netlist.iter() {
-        if node.is_input() || node.is_sequential() {
+    for id in netlist.node_ids() {
+        let kind = netlist.kind(id);
+        if kind.is_input() || kind.is_sequential() {
             for v in [false, true] {
                 faults.push(Fault::output(id, v));
             }
         }
-        if node.is_gate() {
-            for (pin, driver) in node.fanins.iter().enumerate() {
+        if kind.is_gate() {
+            for (pin, driver) in netlist.fanins(id).iter().enumerate() {
                 if netlist.fanout_count(*driver) > 1 {
                     for v in [false, true] {
                         faults.push(Fault::input(id, pin, v));

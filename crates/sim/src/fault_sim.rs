@@ -64,35 +64,14 @@ impl<'a> FaultSimulator<'a> {
         })
     }
 
-    /// Simulates the fault-free machine and returns per-frame values of all
-    /// nodes (initial state all-X).
-    pub fn good_trace(&self, sequence: &TestSequence) -> Vec<Vec<Logic3>> {
-        self.machine_trace(sequence, None)
-    }
-
     /// Returns `true` when `fault` is detected by `sequence`.
     pub fn detects(&self, fault: &Fault, sequence: &TestSequence) -> bool {
-        let good = self.good_trace(sequence);
-        self.detects_against(fault, sequence, &good)
-    }
-
-    /// Fault simulation of a whole fault list: [`detected_faults`] on this
-    /// simulator's netlist.
-    pub fn detected_faults(&self, faults: &[Fault], sequence: &TestSequence) -> Vec<bool> {
-        detected_faults(self.netlist, faults, sequence)
-    }
-
-    fn detects_against(
-        &self,
-        fault: &Fault,
-        sequence: &TestSequence,
-        good: &[Vec<Logic3>],
-    ) -> bool {
-        let faulty = self.machine_trace(sequence, Some(fault));
-        for (frame, good_frame) in good.iter().enumerate() {
+        let good = self.trace(sequence, None);
+        let faulty = self.trace(sequence, Some(fault));
+        for (good_frame, faulty_frame) in good.iter().zip(&faulty) {
             for &po in self.netlist.outputs() {
                 let g = good_frame[po.index()];
-                let f = faulty[frame][po.index()];
+                let f = faulty_frame[po.index()];
                 if let (Some(gv), Some(fv)) = (g.to_bool(), f.to_bool()) {
                     if gv != fv {
                         return true;
@@ -103,8 +82,22 @@ impl<'a> FaultSimulator<'a> {
         false
     }
 
-    /// Simulates either the good machine (`fault = None`) or a faulty machine.
-    fn machine_trace(&self, sequence: &TestSequence, fault: Option<&Fault>) -> Vec<Vec<Logic3>> {
+    /// Fault simulation of a whole fault list: [`detected_faults`] on this
+    /// simulator's netlist.
+    pub fn detected_faults(&self, faults: &[Fault], sequence: &TestSequence) -> Vec<bool> {
+        detected_faults(self.netlist, self.levels, faults, sequence)
+    }
+
+    /// Simulates the good machine (`fault = None`) or the machine with
+    /// `fault` over `sequence`, from the all-`X` initial state, and returns
+    /// the values of every node in every frame. Inputs missing from a
+    /// vector, or given as `X`, stay `X`.
+    ///
+    /// This is the iterative-array model of the test generator: a stuck
+    /// output holds its line in every frame (a stuck sequential element also
+    /// fixes the captured state), an input-pin fault applies only to its
+    /// gate, and no set/reset or latch propagation rule applies.
+    pub fn trace(&self, sequence: &TestSequence, fault: Option<&Fault>) -> Vec<Vec<Logic3>> {
         let n = self.netlist.num_nodes();
         let mut state = vec![Logic3::X; n];
         let mut out = Vec::with_capacity(sequence.len());
@@ -120,16 +113,14 @@ impl<'a> FaultSimulator<'a> {
             // Output faults on frame inputs take effect before evaluation.
             if let Some(f) = fault {
                 if let FaultSite::Output(node) = f.site {
-                    let node_ref = self.netlist.node(node);
-                    if node_ref.is_input() || node_ref.is_sequential() {
+                    if !self.netlist.kind(node).is_gate() {
                         values[node.index()] = Logic3::from_bool(f.stuck_at);
                     }
                 }
             }
             // Combinational evaluation with the fault effect.
             for &id in self.levels.order() {
-                let node = self.netlist.node(id);
-                let NodeKind::Gate(gate) = node.kind else {
+                let NodeKind::Gate(gate) = self.netlist.kind(id) else {
                     continue;
                 };
                 let fanin_value = |pin: usize, driver: NodeId| -> Logic3 {
@@ -142,7 +133,8 @@ impl<'a> FaultSimulator<'a> {
                 };
                 let mut v = crate::eval::eval_gate3(
                     gate,
-                    node.fanins
+                    self.netlist
+                        .fanins(id)
                         .iter()
                         .enumerate()
                         .map(|(pin, &d)| fanin_value(pin, d)),
@@ -185,13 +177,18 @@ impl<'a> FaultSimulator<'a> {
 /// outputs there can detect. The good machine is simulated once, then the
 /// faulty machines word-parallel, up to 64 faults per forward pass (one
 /// lane per fault), all on arrays sized by the support. An empty target
-/// list returns at once. No [`Levelization`] is needed: the support orders
-/// its gates by the arena's stored logic levels.
-pub fn detected_faults(netlist: &Netlist, faults: &[Fault], sequence: &TestSequence) -> Vec<bool> {
+/// list returns at once. The support orders its gates by the logic levels
+/// of `levels`, the netlist's [`Levelization`].
+pub fn detected_faults(
+    netlist: &Netlist,
+    levels: Levelization<'_>,
+    faults: &[Fault],
+    sequence: &TestSequence,
+) -> Vec<bool> {
     if faults.is_empty() {
         return Vec::new();
     }
-    let support = Support::new(netlist, faults);
+    let support = Support::new(netlist, levels, faults);
     let outputs = &support.outputs;
     if outputs.is_empty() {
         return vec![false; faults.len()];
@@ -255,8 +252,7 @@ struct Support {
 }
 
 impl Support {
-    fn new(netlist: &Netlist, faults: &[Fault]) -> Support {
-        let csr = netlist.csr();
+    fn new(netlist: &Netlist, levels: Levelization<'_>, faults: &[Fault]) -> Support {
         let mut local = vec![OUTSIDE; netlist.num_nodes()];
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut visit = |id: NodeId, nodes: &mut Vec<NodeId>| {
@@ -272,7 +268,7 @@ impl Support {
         let mut head = 0;
         while let Some(&x) = nodes.get(head) {
             head += 1;
-            for &fo in csr.fanouts(x) {
+            for &fo in netlist.fanouts(x) {
                 visit(fo, &mut nodes);
             }
         }
@@ -281,7 +277,7 @@ impl Support {
         head = 0;
         while let Some(&x) = nodes.get(head) {
             head += 1;
-            for &fi in csr.fanins(x) {
+            for &fi in netlist.fanins(x) {
                 visit(fi, &mut nodes);
             }
         }
@@ -297,13 +293,13 @@ impl Support {
         let mut gates = Vec::new();
         let mut max_level = 0;
         for &id in &nodes {
-            match csr.kind(id) {
+            match netlist.kind(id) {
                 NodeKind::Input => {}
                 NodeKind::Seq(_) => {
-                    seqs.push((local[id.index()], local[csr.fanins(id)[0].index()]))
+                    seqs.push((local[id.index()], local[netlist.fanins(id)[0].index()]))
                 }
                 NodeKind::Gate(gate) => {
-                    max_level = max_level.max(csr.level(id) as usize);
+                    max_level = max_level.max(levels.level(id) as usize);
                     gates.push((id, gate));
                 }
             }
@@ -312,14 +308,14 @@ impl Support {
         // evaluation order (every fanin of a gate sits on a lower level).
         let mut start = vec![0usize; max_level + 2];
         for &(id, _) in &gates {
-            start[csr.level(id) as usize + 1] += 1;
+            start[levels.level(id) as usize + 1] += 1;
         }
         for l in 0..=max_level {
             start[l + 1] += start[l];
         }
         let mut ordered = vec![(NodeId(0), GateType::Buf); gates.len()];
         for &(id, gate) in &gates {
-            let slot = &mut start[csr.level(id) as usize];
+            let slot = &mut start[levels.level(id) as usize];
             ordered[*slot] = (id, gate);
             *slot += 1;
         }
@@ -329,7 +325,7 @@ impl Support {
         fanin_off.push(0);
         for (id, gate) in ordered {
             gates.push((local[id.index()], gate));
-            fanins.extend(csr.fanins(id).iter().map(|f| local[f.index()]));
+            fanins.extend(netlist.fanins(id).iter().map(|f| local[f.index()]));
             fanin_off.push(id_u32(fanins.len()));
         }
 
@@ -504,7 +500,7 @@ mod tests {
         let n = inverter_ff();
         let sim = FaultSimulator::new(&n).unwrap();
         let s = seq(&[&[Logic3::Zero], &[Logic3::One]]);
-        let trace = sim.good_trace(&s);
+        let trace = sim.trace(&s, None);
         let q = n.require("q").unwrap();
         assert_eq!(trace[0][q.index()], Logic3::X);
         assert_eq!(trace[1][q.index()], Logic3::One);

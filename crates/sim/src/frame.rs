@@ -87,14 +87,12 @@ impl<'a> CombEvaluator<'a> {
         equiv: Option<&EquivClasses>,
         conflict: &mut Option<NodeId>,
     ) -> bool {
-        let eval_pos = self.netlist.csr().eval_pos;
         let mut needs_repass = false;
         for &id in self.levels.order() {
-            let node = self.netlist.node(id);
-            let NodeKind::Gate(gate) = node.kind else {
+            let NodeKind::Gate(gate) = self.netlist.kind(id) else {
                 continue;
             };
-            let computed = eval_gate3_at(gate, node.fanins, values);
+            let computed = eval_gate3_at(gate, self.netlist.fanins(id), values);
             let idx = id.index();
             if forced[idx] {
                 if computed.is_binary()
@@ -131,7 +129,7 @@ impl<'a> CombEvaluator<'a> {
                             let m_val = Logic3::from_bool(rep_value ^ m_inv);
                             if values[m_idx] == Logic3::X && !forced[m_idx] {
                                 values[m_idx] = m_val;
-                                if is_behind(eval_pos, m_idx, idx) {
+                                if is_behind(self.levels, member, id) {
                                     needs_repass = true;
                                 }
                             } else if values[m_idx].is_binary()
@@ -149,17 +147,17 @@ impl<'a> CombEvaluator<'a> {
     }
 }
 
-/// Whether equivalence forwarding from the gate at `idx` wrote `m_idx`
-/// behind the evaluation cursor, so the pass must run again. Frame inputs
-/// (primary inputs and sequential elements, outside the arena's evaluation
-/// order) count as position 0.
+/// Whether equivalence forwarding from the gate `id` wrote `member` behind
+/// the evaluation cursor, so the pass must run again. Frame inputs (primary
+/// inputs and sequential elements, outside the evaluation order) count as
+/// position 0.
 #[inline]
-pub(crate) fn is_behind(eval_pos: &[u32], m_idx: usize, idx: usize) -> bool {
-    let m_pos = match eval_pos[m_idx] {
+pub(crate) fn is_behind(levels: Levelization<'_>, member: NodeId, id: NodeId) -> bool {
+    let m_pos = match levels.eval_pos(member) {
         u32::MAX => 0,
         p => p,
     };
-    m_pos < eval_pos[idx]
+    m_pos < levels.eval_pos(id)
 }
 
 #[cfg(test)]

@@ -48,8 +48,6 @@ pub struct SimOptions {
     pub max_frames: usize,
     /// Stop early when the sequential state repeats over two consecutive frames.
     pub stop_on_repeat: bool,
-    /// Apply the set/reset and multiple-port-latch propagation rules.
-    pub respect_seq_rules: bool,
 }
 
 impl Default for SimOptions {
@@ -57,7 +55,6 @@ impl Default for SimOptions {
         SimOptions {
             max_frames: 50,
             stop_on_repeat: true,
-            respect_seq_rules: true,
         }
     }
 }
@@ -193,11 +190,6 @@ impl<'a> InjectionSim<'a> {
         };
     }
 
-    /// Disables equivalence forwarding.
-    pub fn clear_equivalences(&mut self) {
-        self.equiv = None;
-    }
-
     /// Replaces the set of known tied gates, forced as constants in every frame.
     pub fn set_tied(&mut self, tied: Vec<(NodeId, bool)>) {
         self.is_tied.clear();
@@ -309,7 +301,7 @@ impl<'a> InjectionSim<'a> {
                 let data = netlist.fanins(s)[0];
                 let mut v = values[data.index()];
                 if let Some(b) = v.to_bool() {
-                    if options.respect_seq_rules && !info.allows_propagation(b) {
+                    if !info.allows_propagation(b) {
                         v = Logic3::X;
                     }
                     if let Some(mask) = &self.active_seq {
@@ -399,8 +391,7 @@ impl<'a> InjectionSim<'a> {
         let lane_limit =
             |lane: usize| limits.map_or(options.max_frames, |l| l[lane].min(options.max_frames));
         let netlist = self.eval.netlist();
-        let order = self.eval.levels().order();
-        let eval_pos = netlist.csr().eval_pos;
+        let levels = self.eval.levels();
         let all: u64 = if lanes == 64 {
             u64::MAX
         } else {
@@ -498,8 +489,7 @@ impl<'a> InjectionSim<'a> {
             // Combinational evaluation of this frame.
             eval_frame_packed(
                 netlist,
-                order,
-                eval_pos,
+                levels,
                 &mut values,
                 &forced,
                 self.equiv.as_ref(),
@@ -528,13 +518,11 @@ impl<'a> InjectionSim<'a> {
                 let info = *netlist.seq_info(s).expect("sequential element");
                 let data = netlist.fanins(s)[0];
                 let mut v = values[data.index()];
-                if options.respect_seq_rules {
-                    if !info.allows_propagation(true) {
-                        v.one = 0;
-                    }
-                    if !info.allows_propagation(false) {
-                        v.zero = 0;
-                    }
+                if !info.allows_propagation(true) {
+                    v.one = 0;
+                }
+                if !info.allows_propagation(false) {
+                    v.zero = 0;
                 }
                 if let Some(mask) = &self.active_seq {
                     if !mask[s.index()] {
@@ -614,7 +602,6 @@ mod tests {
             &SimOptions {
                 max_frames: 4,
                 stop_on_repeat: false,
-                respect_seq_rules: true,
             },
         );
         assert_eq!(trace.value(0, q1), Logic3::X);
@@ -709,20 +696,9 @@ mod tests {
             &SimOptions {
                 max_frames: 3,
                 stop_on_repeat: false,
-                respect_seq_rules: true,
             },
         );
         assert_eq!(trace.value(1, l), Logic3::X, "2-port latch must block");
-        // Without the rules the value would cross.
-        let trace2 = sim.run(
-            &[Injection::new(a, true, 0)],
-            &SimOptions {
-                max_frames: 3,
-                stop_on_repeat: false,
-                respect_seq_rules: false,
-            },
-        );
-        assert_eq!(trace2.value(1, l), Logic3::One);
     }
 
     #[test]
@@ -746,7 +722,6 @@ mod tests {
         let opts = SimOptions {
             max_frames: 2,
             stop_on_repeat: false,
-            respect_seq_rules: true,
         };
         let one = sim.run(&[Injection::new(a, true, 0)], &opts);
         assert_eq!(one.value(1, q), Logic3::One, "1 agrees with the set line");
@@ -770,7 +745,6 @@ mod tests {
             &SimOptions {
                 max_frames: 4,
                 stop_on_repeat: false,
-                respect_seq_rules: true,
             },
         );
         assert_eq!(trace.value(1, q1), Logic3::One);

@@ -23,8 +23,15 @@
 //!   (64-bit) simulation,
 //! * [`fault`] / [`FaultSimulator`] — single stuck-at fault model, fault-list
 //!   generation/collapsing and a sequential three-valued fault simulator,
+//!   whose machine trace ([`FaultSimulator::trace`]) is also the
+//!   from-scratch reference for the test generator's window model,
 //! * [`StateOracle`] — an exhaustive steady-state reachability oracle for small
 //!   circuits, used to prove learned relations sound in tests.
+//!
+//! Every simulator reads a node's kind and fanins through the
+//! [`sla_netlist::Netlist`] by id and the evaluation order, levels and
+//! positions through a [`sla_netlist::levelize::Levelization`]; no
+//! evaluation loop resolves a node's name.
 //!
 //! # Example
 //!

@@ -225,11 +225,11 @@ impl<'a> StateOracle<'a> {
             values[pi.index()] = (input >> i) & 1 == 1;
         }
         for &id in self.levels.order() {
-            let node = self.netlist.node(id);
-            let NodeKind::Gate(gate) = node.kind else {
+            let NodeKind::Gate(gate) = self.netlist.kind(id) else {
                 continue;
             };
-            values[id.index()] = eval2(gate, node.fanins.iter().map(|f| values[f.index()]));
+            let fanins = self.netlist.fanins(id);
+            values[id.index()] = eval2(gate, fanins.iter().map(|f| values[f.index()]));
         }
     }
 

@@ -23,6 +23,7 @@ use crate::eval::eval_gate64;
 use crate::frame::is_behind;
 use crate::inject::Conflict;
 use crate::value::Logic3;
+use sla_netlist::levelize::Levelization;
 use sla_netlist::{GateType, Netlist, NodeId, NodeKind};
 
 /// 64 lanes of three-valued logic in two disjoint bit-planes.
@@ -209,8 +210,7 @@ impl LaneConflicts {
 #[allow(clippy::too_many_arguments)]
 fn eval_pass_packed(
     netlist: &Netlist,
-    order: &[NodeId],
-    eval_pos: &[u32],
+    levels: Levelization<'_>,
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
@@ -220,13 +220,12 @@ fn eval_pass_packed(
     fanin_buf: &mut Vec<PackedWord>,
 ) -> bool {
     let mut needs_repass = false;
-    for &id in order {
-        let node = netlist.node(id);
-        let NodeKind::Gate(gate) = node.kind else {
+    for &id in levels.order() {
+        let NodeKind::Gate(gate) = netlist.kind(id) else {
             continue;
         };
         fanin_buf.clear();
-        fanin_buf.extend(node.fanins.iter().map(|f| values[f.index()]));
+        fanin_buf.extend(netlist.fanins(id).iter().map(|f| values[f.index()]));
         let computed = eval_gate3x64(gate, fanin_buf);
         let idx = id.index();
         let current = values[idx];
@@ -257,7 +256,7 @@ fn eval_pass_packed(
                         if set != 0 {
                             values[m_idx].one |= m_val.one & set;
                             values[m_idx].zero |= m_val.zero & set;
-                            if is_behind(eval_pos, m_idx, idx) {
+                            if is_behind(levels, member, id) {
                                 needs_repass = true;
                             }
                         }
@@ -275,8 +274,7 @@ fn eval_pass_packed(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_frame_packed(
     netlist: &Netlist,
-    order: &[NodeId],
-    eval_pos: &[u32],
+    levels: Levelization<'_>,
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
@@ -288,13 +286,13 @@ pub(crate) fn eval_frame_packed(
     // A single topological pass suffices unless equivalence forwarding pushed
     // a value backwards; iterate to fixpoint only in that (rare) case.
     let max_passes = if equiv.is_some() {
-        order.len().max(1)
+        levels.order().len().max(1)
     } else {
         1
     };
     for _ in 0..max_passes {
         let needs_repass = eval_pass_packed(
-            netlist, order, eval_pos, values, forced, equiv, active, frame, conflicts, fanin_buf,
+            netlist, levels, values, forced, equiv, active, frame, conflicts, fanin_buf,
         );
         if !needs_repass {
             break;

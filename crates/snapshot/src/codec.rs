@@ -15,7 +15,6 @@ use crate::SnapshotError;
 use sla_atpg::{AtpgOptions, LearningMode};
 use sla_core::{CrossImplication, Implication, Literal, WorkBudget};
 use sla_netlist::{FastHasher, NodeId};
-use sla_sim::{Fault, FaultSite};
 use std::hash::Hasher;
 
 /// Append-only byte sink of the codec.
@@ -321,47 +320,6 @@ pub fn read_relations(r: &mut Reader<'_>) -> Result<Relations, SnapshotError> {
     Ok((implications, cross_frame, tied))
 }
 
-/// Encodes a fault list (site, pin and polarity of every fault, in order).
-pub fn write_faults(w: &mut Writer, faults: &[Fault]) {
-    w.u32(faults.len() as u32);
-    for f in faults {
-        match f.site {
-            FaultSite::Output(n) => {
-                w.u8(0);
-                w.u32(n.0);
-            }
-            FaultSite::Input { gate, pin } => {
-                w.u8(1);
-                w.u32(gate.0);
-                w.u32(pin as u32);
-            }
-        }
-        w.u8(f.stuck_at as u8);
-    }
-}
-
-/// Decodes a fault list written by [`write_faults`].
-pub fn read_faults(r: &mut Reader<'_>) -> Result<Vec<Fault>, SnapshotError> {
-    let n = r.count()?;
-    let mut faults = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fault = match r.u8()? {
-            0 => {
-                let node = NodeId(r.u32()?);
-                Fault::output(node, r.bool()?)
-            }
-            1 => {
-                let gate = NodeId(r.u32()?);
-                let pin = r.u32()? as usize;
-                Fault::input(gate, pin, r.bool()?)
-            }
-            _ => return Err(SnapshotError::Corrupt("fault site")),
-        };
-        faults.push(fault);
-    }
-    Ok(faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,20 +384,6 @@ mod tests {
         let bytes = w.seal();
         let mut r = Reader::with_limit(&bytes, 0, bytes.len() - 8);
         assert_eq!(read_atpg_options(&mut r).unwrap(), opts);
-        assert!(r.at_end());
-    }
-
-    #[test]
-    fn fault_list_round_trip() {
-        let faults = vec![
-            Fault::output(NodeId(3), true),
-            Fault::input(NodeId(7), 1, false),
-        ];
-        let mut w = Writer::new();
-        write_faults(&mut w, &faults);
-        let bytes = w.seal();
-        let mut r = Reader::with_limit(&bytes, 0, bytes.len() - 8);
-        assert_eq!(read_faults(&mut r).unwrap(), faults);
         assert!(r.at_end());
     }
 }

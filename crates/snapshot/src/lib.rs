@@ -111,16 +111,6 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// Structural hash of a netlist: name, node arena (kind, fanins, names),
-/// input/output lists and clock table. Two netlists with the same hash are
-/// the same circuit for resume purposes.
-///
-/// Thin delegate of [`Netlist::structural_hash`], kept so snapshot callers
-/// need not know the hash moved into the netlist crate.
-pub fn structural_hash(netlist: &Netlist) -> u64 {
-    netlist.structural_hash()
-}
-
 /// Hash of a fault list (site, pin and polarity of every fault, in order).
 pub fn faults_hash(faults: &[Fault]) -> u64 {
     let mut h = FastHasher::default();
@@ -174,7 +164,7 @@ impl AtpgSnapshot {
     ) -> AtpgSnapshot {
         let learned = engine.learned();
         AtpgSnapshot {
-            netlist_hash: structural_hash(netlist),
+            netlist_hash: netlist.structural_hash(),
             faults_hash: faults_hash(faults),
             config: *engine.config(),
             implications: learned.implications().iter().collect(),
@@ -352,7 +342,7 @@ impl AtpgSnapshot {
         netlist: &'a Netlist,
         faults: &[Fault],
     ) -> Result<(AtpgEngine<'a>, RunProgress), SnapshotError> {
-        if structural_hash(netlist) != self.netlist_hash {
+        if netlist.structural_hash() != self.netlist_hash {
             return Err(SnapshotError::NetlistMismatch);
         }
         if faults_hash(faults) != self.faults_hash {
@@ -579,7 +569,7 @@ mod tests {
     fn structural_hash_tracks_structure() {
         let a = sample();
         let b = sample();
-        assert_eq!(structural_hash(&a), structural_hash(&b));
+        assert_eq!(a.structural_hash(), b.structural_hash());
         let mut c = NetlistBuilder::new("snap");
         c.input("a");
         c.input("b");
@@ -588,7 +578,7 @@ mod tests {
         c.gate("o", GateType::Xor, &["q", "b"]).unwrap();
         c.output("o").unwrap();
         let c = c.build().unwrap();
-        assert_ne!(structural_hash(&a), structural_hash(&c));
+        assert_ne!(a.structural_hash(), c.structural_hash());
         let fa = collapsed_fault_list(&a);
         assert_eq!(faults_hash(&fa), faults_hash(&collapsed_fault_list(&b)));
         assert_ne!(faults_hash(&fa), faults_hash(&fa[1..]));

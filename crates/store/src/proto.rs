@@ -86,11 +86,11 @@ impl FaultSpec {
     pub fn from_fault(netlist: &Netlist, fault: &Fault) -> FaultSpec {
         match fault.site {
             FaultSite::Output(node) => FaultSpec::Output {
-                node: netlist.node(node).name.to_string(),
+                node: netlist.node_name(node).to_string(),
                 stuck_at: fault.stuck_at,
             },
             FaultSite::Input { gate, pin } => FaultSpec::Input {
-                gate: netlist.node(gate).name.to_string(),
+                gate: netlist.node_name(gate).to_string(),
                 pin: pin as u32,
                 stuck_at: fault.stuck_at,
             },

@@ -57,7 +57,6 @@ pub struct Session<'a> {
     netlist: &'a Netlist,
     threads: usize,
     learned: LearnedData,
-    report: Option<LearnReport>,
 }
 
 impl<'a> Session<'a> {
@@ -69,7 +68,6 @@ impl<'a> Session<'a> {
             netlist,
             threads: sla_par::thread_count(),
             learned: LearnedData::new(),
-            report: None,
         }
     }
 
@@ -96,18 +94,12 @@ impl<'a> Session<'a> {
         &self.learned
     }
 
-    /// The report of the last learning step, if one ran.
-    pub fn learn_report(&self) -> Option<&LearnReport> {
-        self.report.as_ref()
-    }
-
     /// Runs sequential learning on the session netlist and keeps the result
     /// for subsequent ATPG calls.
-    pub fn learn(&mut self, options: &LearnOptions) -> Result<&LearnReport, NetlistError> {
-        let result = SequentialLearner::new(self.netlist, options.clone())
-            .learn_with_threads(self.threads)?;
+    pub fn learn(&mut self, options: &LearnOptions) -> Result<LearnReport, NetlistError> {
+        let result = SequentialLearner::new(self.netlist, options.clone()).learn()?;
         self.learned = LearnedData::from_learn_result(&result);
-        Ok(self.install_report(CacheOutcome::Uncached, result.stats.budget_spent, None))
+        Ok(self.report(CacheOutcome::Uncached, result.stats.budget_spent, None))
     }
 
     /// Lookup-before-learn: serves the learned database from `store` when a
@@ -119,14 +111,14 @@ impl<'a> Session<'a> {
         &mut self,
         options: &LearnOptions,
         store: &mut LearnedStore,
-    ) -> Result<&LearnReport, NetlistError> {
+    ) -> Result<LearnReport, NetlistError> {
         let key = StoreKey::new(self.netlist, options);
         let num_nodes = self.netlist.num_nodes();
         let lookup_err = match store.lookup(&key) {
             Ok(Some(learned)) => match learned.check_nodes(num_nodes) {
                 Ok(()) => {
                     self.learned = learned;
-                    return Ok(self.install_report(CacheOutcome::Hit, 0, None));
+                    return Ok(self.report(CacheOutcome::Hit, 0, None));
                 }
                 Err(node) => Some(StoreError::NodeOutOfRange {
                     path: store.entry_path(&key),
@@ -137,8 +129,7 @@ impl<'a> Session<'a> {
             Ok(None) => None,
             Err(e) => Some(e),
         };
-        let result = SequentialLearner::new(self.netlist, options.clone())
-            .learn_with_threads(self.threads)?;
+        let result = SequentialLearner::new(self.netlist, options.clone()).learn()?;
         self.learned = LearnedData::from_learn_result(&result);
         // A failed write-back degrades future requests to cold runs but must
         // not fail this one; surface it through the report instead.
@@ -146,24 +137,24 @@ impl<'a> Session<'a> {
             Ok(()) => lookup_err,
             Err(e) => Some(e),
         };
-        Ok(self.install_report(CacheOutcome::Miss, result.stats.budget_spent, store_error))
+        Ok(self.report(CacheOutcome::Miss, result.stats.budget_spent, store_error))
     }
 
-    fn install_report(
-        &mut self,
+    /// The report of a learning step that installed the current database.
+    fn report(
+        &self,
         outcome: CacheOutcome,
         work_units: u64,
         store_error: Option<StoreError>,
-    ) -> &LearnReport {
-        self.report = Some(LearnReport {
+    ) -> LearnReport {
+        LearnReport {
             outcome,
             work_units,
             implications: self.learned.implications().len(),
             cross_frame: self.learned.cross_frame().len(),
             tied: self.learned.tied().len(),
             store_error,
-        });
-        self.report.as_ref().expect("just installed")
+        }
     }
 
     /// Runs ATPG over `faults` with the session's learned database:

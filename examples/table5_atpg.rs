@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .build(),
         )?
         .with_learned(learned.clone());
-        let run = engine.run(&faults);
+        let run = engine.run_with_threads(&faults, seqlearn::par::thread_count());
         println!(
             "{label:<32} detected {:>3}  untestable {:>3}  aborted {:>3}  backtracks {:>6}  cpu {}",
             run.stats.detected,

@@ -1,9 +1,12 @@
-//! Property tests for the arena-CSR netlist core: the flat [`NetlistCsr`]
-//! view and the arena-resident levelization must agree with a naive
-//! reference computed from the public accessor API on random netlists, and
-//! the structural hashes of the committed workloads must not move — node
-//! ids are declaration order by contract, so the arena refactor is invisible
-//! to snapshots taken before it.
+//! Property tests for the arena-CSR netlist core and its two readers: the
+//! fanout table read through [`Netlist`] and the levels and evaluation
+//! positions read through [`Levelization`] must agree with naive references
+//! computed from the node kinds and fanins alone on random netlists, names
+//! must resolve both ways, and the structural hashes of the committed
+//! workloads must not move — node ids are declaration order by contract, so
+//! the arena refactor is invisible to snapshots taken before it.
+//!
+//! [`Levelization`]: seqlearn::netlist::levelize::Levelization
 
 use proptest::prelude::*;
 use seqlearn::circuits::{scale_circuit, synthesize, ScaleConfig, SynthConfig};
@@ -27,8 +30,8 @@ fn random_netlist(seed: u64) -> Netlist {
 /// append each consumer once per fanin pin it reads from the driver.
 fn reference_fanouts(n: &Netlist) -> Vec<Vec<NodeId>> {
     let mut fanouts = vec![Vec::new(); n.num_nodes()];
-    for (id, node) in n.iter() {
-        for &f in node.fanins {
+    for id in n.node_ids() {
+        for &f in n.fanins(id) {
             fanouts[f.index()].push(id);
         }
     }
@@ -39,27 +42,26 @@ fn reference_fanouts(n: &Netlist) -> Vec<Vec<NodeId>> {
 /// id-ordered seed queue, FIFO, `level = 1 + max(fanin levels)`.
 fn reference_levels(n: &Netlist) -> Vec<u32> {
     let mut indeg = vec![0usize; n.num_nodes()];
-    for (id, node) in n.iter() {
-        if node.kind.is_sequential() {
+    for id in n.node_ids() {
+        if n.kind(id).is_sequential() {
             continue;
         }
-        indeg[id.index()] = node
-            .fanins
+        indeg[id.index()] = n
+            .fanins(id)
             .iter()
-            .filter(|f| !n.node(**f).kind.is_sequential())
+            .filter(|&&f| !n.kind(f).is_sequential())
             .count();
     }
     let mut level = vec![0u32; n.num_nodes()];
     let mut queue: Vec<NodeId> = n
-        .iter()
-        .filter(|(id, node)| !node.kind.is_sequential() && indeg[id.index()] == 0)
-        .map(|(id, _)| id)
+        .node_ids()
+        .filter(|&id| !n.kind(id).is_sequential() && indeg[id.index()] == 0)
         .collect();
     let mut head = 0;
     while head < queue.len() {
         let id = queue[head];
         head += 1;
-        if n.node(id).kind.is_gate() {
+        if n.kind(id).is_gate() {
             level[id.index()] = 1 + n
                 .fanins(id)
                 .iter()
@@ -68,7 +70,7 @@ fn reference_levels(n: &Netlist) -> Vec<u32> {
                 .unwrap_or(0);
         }
         for &fo in n.fanouts(id) {
-            if n.node(fo).kind.is_sequential() {
+            if n.kind(fo).is_sequential() {
                 continue;
             }
             indeg[fo.index()] -= 1;
@@ -83,52 +85,56 @@ fn reference_levels(n: &Netlist) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The raw CSR slices agree with the `Node` view and the per-id
-    /// accessors for every node: same kinds, same fanin lists, and fanout
-    /// lists identical to the naive rebuild (order included).
+    /// The fanout table read through [`Netlist::fanouts`] is identical to
+    /// the naive rebuild from the fanins, order included, for every node.
     #[test]
     fn csr_matches_accessor_reference(seed in 0u64..10_000) {
         let n = random_netlist(seed);
-        let csr = n.csr();
         let fanouts = reference_fanouts(&n);
-        for (id, node) in n.iter() {
-            prop_assert_eq!(csr.kind(id), node.kind);
-            prop_assert_eq!(csr.fanins(id), node.fanins);
-            prop_assert_eq!(csr.fanins(id), n.fanins(id));
-            prop_assert_eq!(csr.fanouts(id), node.fanouts);
-            prop_assert_eq!(csr.fanouts(id), &fanouts[id.index()][..]);
+        for id in n.node_ids() {
+            prop_assert_eq!(n.fanouts(id), &fanouts[id.index()][..]);
         }
     }
 
     /// The levelization stored in the arena at build time equals a naive
-    /// Kahn reference recomputed through the accessor API, and the eval
-    /// order is a valid topological order of the combinational logic.
+    /// Kahn reference recomputed through the accessor API, the eval order
+    /// is a valid topological order of the combinational logic, and each
+    /// evaluation position is the gate's index in that order.
     #[test]
     fn arena_levelization_matches_naive_kahn(seed in 0u64..10_000) {
         let n = random_netlist(seed);
         let lv = levelize(&n).expect("synthesized netlists are acyclic");
         let reference = reference_levels(&n);
-        let csr = n.csr();
-        for (id, _) in n.iter() {
+        for id in n.node_ids() {
             prop_assert_eq!(lv.level(id), reference[id.index()]);
-            prop_assert_eq!(csr.level(id), reference[id.index()]);
         }
         // Every gate appears in the order, after all its combinational
         // fanins.
-        let mut pos = vec![usize::MAX; n.num_nodes()];
+        let mut pos = vec![u32::MAX; n.num_nodes()];
         for (i, &id) in lv.order().iter().enumerate() {
-            pos[id.index()] = i;
+            pos[id.index()] = i as u32;
         }
-        for (id, node) in n.iter() {
-            if !node.kind.is_gate() {
+        for id in n.node_ids() {
+            prop_assert_eq!(lv.eval_pos(id), pos[id.index()]);
+            if !n.kind(id).is_gate() {
                 continue;
             }
-            prop_assert!(pos[id.index()] != usize::MAX, "gate missing from order");
-            for &f in node.fanins {
-                if n.node(f).kind.is_gate() {
+            prop_assert!(pos[id.index()] != u32::MAX, "gate missing from order");
+            for &f in n.fanins(id) {
+                if n.kind(f).is_gate() {
                     prop_assert!(pos[f.index()] < pos[id.index()]);
                 }
             }
+        }
+    }
+
+    /// Names resolve both ways: `node_id` inverts `node_name` on every node,
+    /// and every node has its own name.
+    #[test]
+    fn node_name_and_node_id_are_inverse(seed in 0u64..10_000) {
+        let n = random_netlist(seed);
+        for id in n.node_ids() {
+            prop_assert_eq!(n.node_id(n.node_name(id)), Some(id));
         }
     }
 
@@ -140,15 +146,12 @@ proptest! {
         let text = seqlearn::netlist::writer::write_bench(&n);
         let back = seqlearn::netlist::parser::parse_bench(n.name(), &text)
             .expect("writer output parses");
-        prop_assert_eq!(
-            sla_snapshot::structural_hash(&n),
-            sla_snapshot::structural_hash(&back)
-        );
+        prop_assert_eq!(n.structural_hash(), back.structural_hash());
     }
 }
 
-/// The CSR invariants hold on the layered scale generator too (multi-input
-/// gates, flip-flop feedback, forward references).
+/// The fanout and level references hold on the layered scale generator too
+/// (multi-input gates, flip-flop feedback, forward references).
 #[test]
 fn csr_matches_reference_on_scale_circuit() {
     let n = scale_circuit(&ScaleConfig {
@@ -159,13 +162,12 @@ fn csr_matches_reference_on_scale_circuit() {
         outputs: 8,
         ..ScaleConfig::default()
     });
-    let csr = n.csr();
+    let lv = levelize(&n).expect("scale circuits are acyclic");
     let fanouts = reference_fanouts(&n);
     let reference = reference_levels(&n);
-    for (id, node) in n.iter() {
-        assert_eq!(csr.fanins(id), node.fanins);
-        assert_eq!(csr.fanouts(id), &fanouts[id.index()][..]);
-        assert_eq!(csr.level(id), reference[id.index()]);
+    for id in n.node_ids() {
+        assert_eq!(n.fanouts(id), &fanouts[id.index()][..]);
+        assert_eq!(lv.level(id), reference[id.index()]);
     }
 }
 
@@ -191,7 +193,7 @@ fn committed_workload_hashes_are_stable() {
     ];
     for ((label, hash), n) in expected.iter().zip(nets.iter()) {
         assert_eq!(
-            sla_snapshot::structural_hash(n),
+            n.structural_hash(),
             *hash,
             "structural hash of the {label} workload moved"
         );

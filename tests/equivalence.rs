@@ -55,7 +55,6 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
         let options = SimOptions {
             max_frames: config.max_frames,
             stop_on_repeat: true,
-            respect_seq_rules: true,
         };
         let mut tied: Vec<(NodeId, bool)> = Vec::new();
         for mask in &masks {
@@ -70,7 +69,7 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
                 .iter()
                 .copied()
                 .filter(|&s| {
-                    !netlist.node(s).is_sequential() || mask.as_ref().is_none_or(|m| m[s.index()])
+                    !netlist.is_sequential(s) || mask.as_ref().is_none_or(|m| m[s.index()])
                 })
                 .collect();
 
@@ -102,7 +101,6 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
             let multi_scalar = multi_node::run(
                 &mut scalar_sim,
                 &scalar.support,
-                &options,
                 mask.as_deref(),
                 config.max_multi_node_targets,
                 true,
@@ -111,7 +109,6 @@ fn batched_learning_phases_equal_scalar_reference_on_named_circuits() {
             let multi_batched = multi_node::run_batched(
                 &mut batched_sim,
                 &scalar.support,
-                &options,
                 mask.as_deref(),
                 config.max_multi_node_targets,
                 true,
@@ -166,7 +163,7 @@ fn learning_modes_classify_retimed_faults_identically() {
 
     let baseline = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
         .unwrap()
-        .run(&faults);
+        .run_with_threads(&faults, seqlearn::par::thread_count());
     for mode in [LearningMode::ForbiddenValue, LearningMode::KnownValue] {
         let run = AtpgEngine::new(
             &netlist,
@@ -177,7 +174,7 @@ fn learning_modes_classify_retimed_faults_identically() {
         )
         .unwrap()
         .with_learned(learned.clone())
-        .run(&faults);
+        .run_with_threads(&faults, seqlearn::par::thread_count());
         assert_eq!(run.status, baseline.status, "{mode:?} changed a verdict");
         assert_eq!(
             run.stats.backtracks, baseline.stats.backtracks,

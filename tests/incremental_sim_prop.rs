@@ -1,22 +1,22 @@
 //! Property tests for the event-driven incremental good/faulty machines: after
 //! arbitrary decide / flip / backtrack scripts, the incrementally maintained
-//! [`SearchMachines`] state must be bit-exact against the retained from-scratch
-//! reference (`TestGenerator::simulate_reference`) — values of both machines,
-//! the D-frontier, and the detected flag — and the event-fed incremental
-//! implication layer must equal a from-scratch rebuild over the same values.
+//! [`SearchMachines`] state must be bit-exact against the from-scratch fault
+//! simulator ([`FaultSimulator::trace`] on the decided inputs, every other
+//! input `X`) — values of both machines, the D-frontier, and the detected
+//! flag — and the event-fed incremental implication layer must equal a
+//! from-scratch rebuild over the same values.
 
 mod common;
 
 use proptest::prelude::*;
 use seqlearn::atpg::{
-    AtpgOptions, ImplicationLayer, IncrementalLayer, LearnedData, LearningMode, LiteralAdjacency,
-    MachineMark, SearchMachines, TestGenerator,
+    ImplicationLayer, IncrementalLayer, LearningMode, LiteralAdjacency, MachineMark, SearchMachines,
 };
 use seqlearn::circuits::{scale_circuit, synthesize, ScaleConfig, SynthConfig};
 use seqlearn::learn::{CrossImplication, Implication, ImplicationDb, Literal};
 use seqlearn::netlist::levelize::levelize;
-use seqlearn::netlist::{FastHashMap, Netlist, NodeId, NodeKind};
-use seqlearn::sim::{full_fault_list, Fault, FaultSite, Logic3};
+use seqlearn::netlist::{Netlist, NodeId, NodeKind};
+use seqlearn::sim::{full_fault_list, Fault, FaultSimulator, FaultSite, Logic3, TestSequence};
 
 fn small_synth(seed: u64, flip_flops: usize, gates: usize) -> Netlist {
     synthesize(&SynthConfig {
@@ -84,6 +84,29 @@ fn random_cross(netlist: &Netlist, bits: &mut Bits, relations: usize) -> Vec<Cro
     out
 }
 
+/// The from-scratch reference machines: the good machine and the machine
+/// with `fault` over `window` frames under the `(frame, input, value)`
+/// decisions, every other primary input `X`, as the fault simulator
+/// computes them.
+fn reference_machines(
+    netlist: &Netlist,
+    sim: &FaultSimulator<'_>,
+    fault: &Fault,
+    window: usize,
+    assigned: &[(usize, NodeId, bool)],
+) -> (Vec<Vec<Logic3>>, Vec<Vec<Logic3>>) {
+    let mut vectors = vec![vec![Logic3::X; netlist.inputs().len()]; window];
+    for &(frame, pi, value) in assigned {
+        let pos = netlist.inputs().iter().position(|&p| p == pi).unwrap();
+        vectors[frame][pos] = Logic3::from_bool(value);
+    }
+    let sequence = TestSequence::new(vectors);
+    (
+        sim.trace(&sequence, None),
+        sim.trace(&sequence, Some(fault)),
+    )
+}
+
 /// `true` when the two values carry a fault effect (binary and opposite).
 fn is_d(good: Logic3, faulty: Logic3) -> bool {
     matches!((good.to_bool(), faulty.to_bool()), (Some(a), Some(b)) if a != b)
@@ -110,14 +133,11 @@ fn reference_frontier(
 ) -> Vec<(usize, NodeId)> {
     let mut frontier = Vec::new();
     for (t, (g, f)) in good.iter().zip(faulty).enumerate() {
-        for (id, node) in netlist.iter() {
-            let NodeKind::Gate(_) = node.kind else {
-                continue;
-            };
+        for id in netlist.gates() {
             if is_d(g[id.index()], f[id.index()]) {
                 continue;
             }
-            let has_d_input = node.fanins.iter().enumerate().any(|(pin, &fi)| {
+            let has_d_input = netlist.fanins(id).iter().enumerate().any(|(pin, &fi)| {
                 if fault.site == (FaultSite::Input { gate: id, pin }) {
                     matches!(g[fi.index()].to_bool(), Some(b) if b != fault.stuck_at)
                 } else {
@@ -146,7 +166,7 @@ fn binary_slots(values: &[Logic3]) -> Vec<u32> {
 fn fault_class(netlist: &Netlist, fault: &Fault, class: usize) -> bool {
     match fault.site {
         FaultSite::Input { .. } => class == 3,
-        FaultSite::Output(node) => match netlist.node(node).kind {
+        FaultSite::Output(node) => match netlist.kind(node) {
             NodeKind::Gate(_) => class == 0 && netlist.fanins(node).is_empty(),
             NodeKind::Input => class == 1,
             NodeKind::Seq(_) => class == 2,
@@ -212,9 +232,7 @@ proptest! {
         let faults = full_fault_list(&netlist);
         let fault = faults[(bits.next() % faults.len() as u64) as usize];
 
-        // The generator only provides the retained reference path here.
-        let reference_gen =
-            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
+        let sim = FaultSimulator::new(&netlist).unwrap();
 
         let db = random_db(&netlist, &mut bits, relations);
         // Two thirds of the cases also carry random cross-frame relations,
@@ -242,11 +260,9 @@ proptest! {
 
         for _ in 0..steps {
             // From-scratch reference over the current assignments.
-            let assigned: FastHashMap<(usize, u32), bool> = decisions
-                .iter()
-                .map(|d| ((d.frame, d.pi.0), d.value))
-                .collect();
-            let (good, faulty) = reference_gen.simulate_reference(&fault, window, &assigned);
+            let assigned: Vec<(usize, NodeId, bool)> =
+                decisions.iter().map(|d| (d.frame, d.pi, d.value)).collect();
+            let (good, faulty) = reference_machines(&netlist, &sim, &fault, window, &assigned);
 
             // Values of both machines, every frame, every node.
             for t in 0..window {
@@ -382,8 +398,7 @@ proptest! {
         let faults = full_fault_list(&netlist);
         let fault = faults[(bits.next() % faults.len() as u64) as usize];
         let pis = netlist.inputs().to_vec();
-        let reference_gen =
-            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
+        let sim = FaultSimulator::new(&netlist).unwrap();
 
         let mut machines = SearchMachines::new(&netlist, levels, 1, fault);
         // Dirty the trails as an exhausted search would, then rewind + grow.
@@ -408,17 +423,17 @@ proptest! {
 
             // Decisions after the growth still track the from-scratch
             // reference in every frame, old and appended alike.
-            let mut assigned: FastHashMap<(usize, u32), bool> = FastHashMap::default();
+            let mut assigned = Vec::new();
             for _ in 0..3 {
                 let frame = (bits.next() % window as u64) as usize;
                 let pi = pis[(bits.next() % pis.len() as u64) as usize];
                 if machines.good().value(frame, pi) == Logic3::X {
                     let value = bits.next().is_multiple_of(2);
                     machines.assign(frame, pi, value);
-                    assigned.insert((frame, pi.0), value);
+                    assigned.push((frame, pi, value));
                 }
             }
-            let (good, faulty) = reference_gen.simulate_reference(&fault, window, &assigned);
+            let (good, faulty) = reference_machines(&netlist, &sim, &fault, window, &assigned);
             for t in 0..window {
                 prop_assert_eq!(machines.good().frame(t), good[t].as_slice(), "frame {}", t);
                 prop_assert_eq!(machines.faulty().frame(t), faulty[t].as_slice(), "frame {}", t);
@@ -442,9 +457,7 @@ proptest! {
     ) {
         let netlist = common::constant_circuit(seed, gates, flip_flops);
         let levels = levelize(&netlist).unwrap();
-        let reference_gen =
-            TestGenerator::new(&netlist, AtpgOptions::default(), &LearnedData::new()).unwrap();
-        let undecided = FastHashMap::default();
+        let sim = FaultSimulator::new(&netlist).unwrap();
         let faults = full_fault_list(&netlist);
         let mut bits = Bits(seed.wrapping_mul(0x51_7cc1_b727_220a) + 7);
         for class in 0..4 {
@@ -462,7 +475,7 @@ proptest! {
                     grown.grow(window);
                 }
                 let fresh = SearchMachines::new(&netlist, levels, window, fault);
-                let (good, faulty) = reference_gen.simulate_reference(&fault, window, &undecided);
+                let (good, faulty) = reference_machines(&netlist, &sim, &fault, window, &[]);
                 for (how, machines) in [("fresh", &fresh), ("grown", &grown)] {
                     for t in 0..window {
                         prop_assert_eq!(

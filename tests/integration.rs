@@ -94,7 +94,7 @@ fn s27_end_to_end_learn_and_atpg() {
     )
     .unwrap()
     .with_learned(learned)
-    .run(&faults);
+    .run_with_threads(&faults, seqlearn::par::thread_count());
 
     // s27's cross-coupled NOR state loops are hard to initialise under the
     // conservative three-valued, unknown-initial-state model, so full coverage
@@ -140,7 +140,7 @@ fn retimed_circuit_learning_helps_atpg() {
 
     let baseline = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(30).build())
         .unwrap()
-        .run(&faults);
+        .run_with_threads(&faults, seqlearn::par::thread_count());
     let with_learning = AtpgEngine::new(
         &netlist,
         AtpgOptions::builder()
@@ -150,7 +150,7 @@ fn retimed_circuit_learning_helps_atpg() {
     )
     .unwrap()
     .with_learned(learned)
-    .run(&faults);
+    .run_with_threads(&faults, seqlearn::par::thread_count());
 
     // The paper's claim, in shape: with learning the ATPG classifies at least
     // as many faults (detected + untestable) as without.
@@ -201,7 +201,7 @@ fn atpg_statuses_are_consistent_with_fault_simulation() {
     let faults = collapsed_fault_list(&netlist);
     let run = AtpgEngine::new(&netlist, AtpgOptions::builder().backtrack_limit(50).build())
         .unwrap()
-        .run(&faults);
+        .run_with_threads(&faults, seqlearn::par::thread_count());
     let sim = FaultSimulator::new(&netlist).unwrap();
     for (fault, status) in faults.iter().zip(&run.status) {
         if *status == FaultStatus::Detected {

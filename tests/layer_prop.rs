@@ -7,7 +7,7 @@ use seqlearn::atpg::{ImplicationLayer, IncrementalLayer, LearningMode, LiteralAd
 use seqlearn::circuits::{synthesize, SynthConfig};
 use seqlearn::learn::{Implication, ImplicationDb, Literal};
 use seqlearn::netlist::{Netlist, NodeId};
-use seqlearn::sim::{Injection, InjectionSim, Logic3, SimOptions};
+use seqlearn::sim::{FaultSimulator, Logic3, TestSequence};
 
 fn small_synth(seed: u64, flip_flops: usize, gates: usize) -> Netlist {
     synthesize(&SynthConfig {
@@ -57,28 +57,21 @@ fn random_db(netlist: &Netlist, bits: &mut Bits, relations: usize) -> Implicatio
     db
 }
 
-/// Plain forward three-valued simulation of the good machine under the given
-/// primary-input assignments — the iterative-array model of the test
-/// generator (no sequential rules, no repeat stopping, unknown initial state).
+/// The good machine under the given primary-input assignments, every other
+/// input `X`: the test generator's iterative-array model, as simulated by
+/// [`FaultSimulator::trace`] (unknown initial state, no sequential rules).
 fn simulate(
-    sim: &InjectionSim<'_>,
+    sim: &FaultSimulator<'_>,
+    netlist: &Netlist,
     window: usize,
     assigned: &[(usize, NodeId, bool)],
 ) -> Vec<Vec<Logic3>> {
-    let injections: Vec<Injection> = assigned
-        .iter()
-        .map(|&(frame, pi, value)| Injection::new(pi, value, frame))
-        .collect();
-    let trace = sim.run(
-        &injections,
-        &SimOptions {
-            max_frames: window,
-            stop_on_repeat: false,
-            respect_seq_rules: false,
-        },
-    );
-    assert_eq!(trace.num_frames(), window);
-    (0..window).map(|t| trace.frame(t).to_vec()).collect()
+    let mut vectors = vec![vec![Logic3::X; netlist.inputs().len()]; window];
+    for &(frame, pi, value) in assigned {
+        let pos = netlist.inputs().iter().position(|&p| p == pi).unwrap();
+        vectors[frame][pos] = Logic3::from_bool(value);
+    }
+    sim.trace(&TestSequence::new(vectors), None)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -108,7 +101,7 @@ proptest! {
         known_mode in proptest::strategy::Just(true),
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
-        let sim = InjectionSim::new(&netlist).unwrap();
+        let sim = FaultSimulator::new(&netlist).unwrap();
         let mut bits = Bits(seed.wrapping_mul(0x2545f4914f6cdd1d) + 3);
         let db = random_db(&netlist, &mut bits, relations);
         let adj = LiteralAdjacency::build(&db, netlist.num_nodes());
@@ -129,7 +122,7 @@ proptest! {
                 .iter()
                 .map(|d| (d.frame, d.pi, d.value))
                 .collect();
-            let good = simulate(&sim, window, &assigned);
+            let good = simulate(&sim, &netlist, window, &assigned);
 
             // Every binary slot of the flat window: the layer's seen flags
             // skip the ones a live level already processed, so this is the

@@ -103,7 +103,6 @@ proptest! {
         let options = SimOptions {
             max_frames: 8,
             stop_on_repeat: true,
-            respect_seq_rules: true,
         };
         let batch = sim.run_batch_packed(&job_slices, &options);
         prop_assert_eq!(batch.lanes(), jobs);
@@ -138,7 +137,6 @@ proptest! {
         let options = SimOptions {
             max_frames: 6,
             stop_on_repeat: false,
-            respect_seq_rules: true,
         };
         let batch = sim.run_batch_with_limits_packed(&job_slices, &options, &limits);
         prop_assert_eq!(batch.lanes(), job_slices.len());
@@ -204,10 +202,10 @@ proptest! {
         let options = SimOptions::default();
         let single = single_node::run(&base, &stems, &options, None, false);
         let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
-        let scalar = multi_node::run(&mut scalar_sim, &single.support, &options, None, 0, true);
+        let scalar = multi_node::run(&mut scalar_sim, &single.support, None, 0, true);
         let mut batched_sim = InjectionSim::new(&netlist).unwrap();
         let batched =
-            multi_node::run_batched(&mut batched_sim, &single.support, &options, None, 0, true);
+            multi_node::run_batched(&mut batched_sim, &single.support, None, 0, true);
         prop_assert_eq!(scalar.implications, batched.implications);
         prop_assert_eq!(scalar.ties, batched.ties);
         prop_assert_eq!(scalar.cross_frame, batched.cross_frame);
@@ -270,7 +268,7 @@ proptest! {
             faults.iter().copied().filter(|f| pred(f)).collect()
         };
         let pins = on(&|f| matches!(f.site, FaultSite::Input { .. }));
-        let inputs = on(&|f| matches!(f.site, FaultSite::Output(n) if netlist.node(n).is_input()));
+        let inputs = on(&|f| matches!(f.site, FaultSite::Output(n) if netlist.kind(n).is_input()));
         let flip_flops = on(&|f| matches!(f.site, FaultSite::Output(n) if netlist.is_sequential(n)));
         let pools = [&pins, &inputs, &flip_flops, &faults];
         let mut bits = Bits(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) + 17);

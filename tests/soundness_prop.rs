@@ -145,10 +145,9 @@ proptest! {
                     };
                 }
                 for &id in levels.order() {
-                    let node = netlist.node(id);
-                    let NodeKind::Gate(gate) = node.kind else { continue };
+                    let NodeKind::Gate(gate) = netlist.kind(id) else { continue };
                     v[id.index()] =
-                        eval_gate3(gate, node.fanins.iter().map(|f| v[f.index()]));
+                        eval_gate3(gate, netlist.fanins(id).iter().map(|f| v[f.index()]));
                 }
                 values.push(v);
             }

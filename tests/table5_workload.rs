@@ -33,7 +33,10 @@ fn run_mode(
     )
     .unwrap()
     .with_learned(learned.clone())
-    .run(&collapsed_fault_list(netlist))
+    .run_with_threads(
+        &collapsed_fault_list(netlist),
+        seqlearn::par::thread_count(),
+    )
 }
 
 #[test]
