@@ -3,7 +3,9 @@
 //! stays far below ATPG time).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sla_circuits::{build_profile, industrial_circuit, profile_by_name, IndustrialConfig};
+use sla_circuits::{
+    build_profile, industrial_circuit, profile_by_name, synthesize, IndustrialConfig, SynthConfig,
+};
 use sla_core::{LearnOptions, SequentialLearner};
 
 fn learning_scaling(c: &mut Criterion) {
@@ -34,6 +36,23 @@ fn learning_industrial(c: &mut Criterion) {
     let mut group = c.benchmark_group("sequential_learning");
     group.sample_size(10);
     group.bench_function("industrial", |b| {
+        b.iter(|| {
+            SequentialLearner::new(&netlist, LearnOptions::default())
+                .learn()
+                .expect("learning succeeds")
+        })
+    });
+    group.finish();
+}
+
+/// A synthesized design the size of a `perfbench` `learn_cold` request whose
+/// largest equivalence class (`g3`'s) has 115 members, so learning cost
+/// rests on how equivalence forwarding scales with class size.
+fn learning_large_class(c: &mut Criterion) {
+    let netlist = synthesize(&SynthConfig::sized("p-synth-1", 37, 376, 1001));
+    let mut group = c.benchmark_group("sequential_learning");
+    group.sample_size(10);
+    group.bench_function("synth/large_class", |b| {
         b.iter(|| {
             SequentialLearner::new(&netlist, LearnOptions::default())
                 .learn()
@@ -94,6 +113,7 @@ criterion_group!(
     benches,
     learning_scaling,
     learning_industrial,
+    learning_large_class,
     learning_thread_scaling,
     learning_single_vs_multi
 );

@@ -39,22 +39,24 @@ use sla_sim::{
 /// assignments whose forward simulation sets the node to that value at that
 /// frame offset.
 ///
-/// Indexed by literal code (`2 × node + value`): the entries of code `c` are
-/// `ids[start[c]..start[c + 1]]`, in the order they were logged, each the
+/// Indexed by the literal codes (`2 × node + value`) that have entries,
+/// listed in ascending order in `codes`: the entries of `codes[k]` are
+/// `ids[start[k]..start[k + 1]]`, in the order they were logged, each the
 /// index of its `(stem, stem_value, frame)` run in `runs`. A run is one
-/// frame of one stem polarity's trace, so an entry costs 4 bytes and no key
-/// owns an allocation. The map is built once from a [`SupportLog`] by a
-/// counting sort. Keys iterate in literal-code order.
+/// frame of one stem polarity's trace, so an entry costs 4 bytes, a key 8,
+/// and no key owns an allocation; a code without entries costs nothing. The
+/// map is built once from a [`SupportLog`] by a counting sort. Keys iterate
+/// in literal-code order.
 #[derive(Debug, Default, Clone)]
 pub struct SupportMap {
-    /// Per literal code, the start of its entries (one more slot than codes).
+    /// The literal codes with at least one entry, ascending.
+    codes: Vec<u32>,
+    /// Per listed code, the start of its entries (one more slot than codes).
     start: Vec<u32>,
     /// Every entry as a run index, grouped by literal code.
     ids: Vec<u32>,
     /// The `(stem, stem_value, frame)` assignment of each run.
     runs: Vec<SupportEntry>,
-    /// Number of codes with at least one entry.
-    keys: usize,
 }
 
 /// The entries of one [`SupportMap`] key, in log order.
@@ -181,46 +183,47 @@ impl SupportLog {
     /// Indexes the log by literal code. Entries of one key keep their log
     /// order.
     pub fn finish(self) -> SupportMap {
-        // Counts per code, then exclusive prefix sums: `start[c]` becomes the
-        // write cursor of code `c`, and after the scatter it has moved to the
-        // end of `c`, which is the start of `c + 1`. Shifting every slot up
-        // by one and opening code 0 at 0 restores the starts.
-        let mut start: Vec<u32> = Vec::new();
+        // Counts per code, then exclusive prefix sums over the codes that
+        // occur: `cursor[c]` becomes the write cursor of code `c`, and the
+        // sums are also the starts the map keeps. The dense cursor array
+        // lives only while the map is built.
+        let mut cursor: Vec<u32> = Vec::new();
         self.for_each(|c, _| {
             let c = c as usize;
-            if c + 1 >= start.len() {
-                start.resize(c + 2, 0);
+            if c >= cursor.len() {
+                cursor.resize(c + 1, 0);
             }
-            start[c] += 1;
+            cursor[c] += 1;
         });
-        let mut keys = 0;
+        let mut codes = Vec::new();
+        let mut start = Vec::new();
         let mut total = 0u32;
-        for slot in &mut start {
-            keys += usize::from(*slot > 0);
-            let count = *slot;
-            *slot = total;
-            total += count;
+        for (c, slot) in (0u32..).zip(&mut cursor) {
+            if *slot > 0 {
+                codes.push(c);
+                start.push(total);
+                let count = *slot;
+                *slot = total;
+                total += count;
+            }
         }
+        start.push(total);
         let mut ids = vec![0u32; total as usize];
         self.for_each(|c, run| {
-            let at = &mut start[c as usize];
+            let at = &mut cursor[c as usize];
             ids[*at as usize] = run;
             *at += 1;
         });
-        if !start.is_empty() {
-            start.rotate_right(1);
-            start[0] = 0;
-        }
         let runs = self
             .blocks
             .iter()
             .flat_map(|(_, runs)| runs.iter().map(|run| run.entry))
             .collect();
         SupportMap {
+            codes,
             start,
             ids,
             runs,
-            keys,
         }
     }
 }
@@ -228,9 +231,8 @@ impl SupportLog {
 impl SupportMap {
     /// Support entries of `key`, if any.
     pub fn get(&self, key: &SupportKey) -> Option<SupportEntries<'_>> {
-        let c = code(key.0, key.1) as usize;
-        let (&begin, &end) = (self.start.get(c)?, self.start.get(c + 1)?);
-        (end > begin).then(|| self.entries(begin, end))
+        let k = self.codes.binary_search(&code(key.0, key.1)).ok()?;
+        Some(self.entries(self.start[k], self.start[k + 1]))
     }
 
     fn entries(&self, begin: u32, end: u32) -> SupportEntries<'_> {
@@ -242,20 +244,20 @@ impl SupportMap {
 
     /// Number of distinct `(node, value)` keys.
     pub fn len(&self) -> usize {
-        self.keys
+        self.codes.len()
     }
 
     /// `true` when no support was accumulated.
     pub fn is_empty(&self) -> bool {
-        self.keys == 0
+        self.codes.is_empty()
     }
 
     /// Iterates `(key, entries)` in literal-code order (node, then value).
     pub fn iter(&self) -> impl Iterator<Item = (SupportKey, SupportEntries<'_>)> {
-        (0u32..)
+        self.codes
+            .iter()
             .zip(self.start.windows(2))
-            .filter(|(_, w)| w[1] > w[0])
-            .map(|(c, w)| (decode(c), self.entries(w[0], w[1])))
+            .map(|(&c, w)| (decode(c), self.entries(w[0], w[1])))
     }
 }
 

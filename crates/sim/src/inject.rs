@@ -439,6 +439,9 @@ impl<'a> InjectionSim<'a> {
         let mut state = vec![PackedWord::ALL_X; n];
         let mut packed_frames: Vec<Vec<PackedWord>> = Vec::new();
         let mut fanin_buf: Vec<PackedWord> = Vec::new();
+        // Per equivalence class, the lanes it has forwarded in the current
+        // frame (cleared by `eval_frame_packed`).
+        let mut forwarded = vec![0u64; self.equiv.as_ref().map_or(0, EquivClasses::num_classes)];
 
         for t in 0..max_frames {
             if active == 0 {
@@ -493,6 +496,7 @@ impl<'a> InjectionSim<'a> {
                 &mut values,
                 &forced,
                 self.equiv.as_ref(),
+                &mut forwarded,
                 active,
                 t,
                 &mut conflicts,

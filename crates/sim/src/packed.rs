@@ -203,6 +203,22 @@ impl LaneConflicts {
 /// word-parallel mirror of `CombEvaluator::eval_pass`. `forced` carries a
 /// per-node lane mask; conflict recording is restricted to `active` lanes.
 ///
+/// Equivalence forwarding sends each lane of a class once per frame.
+/// `forwarded` holds one lane mask per class of `equiv`: the lanes the class
+/// has already forwarded in this frame, kept across the frame's re-passes.
+/// A binary member forwards, sets and conflict-checks only its lanes that
+/// are not in its class's mask yet, and adds them to it. This is exact,
+/// because after a class first forwards lane *L*, every member is binary in
+/// *L*: set by the forward (and so agreeing with it), forced (a forced lane
+/// is binary), or binary already. A binary lane never changes within a
+/// frame, so forwarding *L* again would set nothing, and any mismatch it
+/// met would involve a member that was binary before the first forward and
+/// disagreed with it; the first forward met that mismatch and recorded the
+/// lane's conflict, or found one recorded. Traces, first conflicts and
+/// repeat stops are the same as when every binary member forwards every
+/// binary lane, while a class of `k` members costs `O(k)` member visits per
+/// lane instead of `O(k²)`.
+///
 /// Returns `true` when another pass is needed: a value flowed *backwards* in
 /// the topological order (equivalence forwarding into an already-visited
 /// node). Values set at or ahead of the cursor are consumed by the same pass,
@@ -214,6 +230,7 @@ fn eval_pass_packed(
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
+    forwarded: &mut [u64],
     active: u64,
     frame: usize,
     conflicts: &mut LaneConflicts,
@@ -239,28 +256,36 @@ fn eval_pass_packed(
             values[idx].one |= computed.one & set;
             values[idx].zero |= computed.zero & set;
         }
-        // Equivalence forwarding: binary lanes of this node propagate to the
-        // other members of its combinational equivalence class.
+        // Equivalence forwarding: binary lanes of this node that its class
+        // has not forwarded yet in this frame propagate to the other members.
         if let Some(eq) = equiv {
             let v = values[idx];
             if v.known() != 0 {
                 if let Some((class, inv)) = eq.class_of(id) {
-                    for &(member, m_inv) in eq.members(class) {
-                        let m_idx = member.index();
-                        if m_idx == idx {
-                            continue;
-                        }
-                        let m_val = if inv ^ m_inv { !v } else { v };
-                        let m_cur = values[m_idx];
-                        let set = v.known() & !m_cur.known() & !forced[m_idx];
-                        if set != 0 {
-                            values[m_idx].one |= m_val.one & set;
-                            values[m_idx].zero |= m_val.zero & set;
-                            if is_behind(levels, member, id) {
-                                needs_repass = true;
+                    let fresh = v.known() & !forwarded[class];
+                    if fresh != 0 {
+                        forwarded[class] |= fresh;
+                        for &(member, m_inv) in eq.members(class) {
+                            let m_idx = member.index();
+                            if m_idx == idx {
+                                continue;
                             }
+                            let m_val = if inv ^ m_inv { !v } else { v };
+                            let m_cur = values[m_idx];
+                            let set = fresh & !m_cur.known() & !forced[m_idx];
+                            if set != 0 {
+                                values[m_idx].one |= m_val.one & set;
+                                values[m_idx].zero |= m_val.zero & set;
+                                if is_behind(levels, member, id) {
+                                    needs_repass = true;
+                                }
+                            }
+                            conflicts.record(
+                                m_val.mismatch_lanes(m_cur) & fresh & active,
+                                member,
+                                frame,
+                            );
                         }
-                        conflicts.record(m_val.mismatch_lanes(m_cur) & active, member, frame);
                     }
                 }
             }
@@ -271,6 +296,12 @@ fn eval_pass_packed(
 
 /// Evaluates all combinational gates of one packed frame to a fixed point —
 /// the word-parallel mirror of `CombEvaluator::eval`.
+///
+/// `forwarded` is room for one lane mask per class of `equiv` (empty
+/// without classes). It is cleared here and shared by the frame's passes, so
+/// each class forwards each lane once per frame, as [`eval_pass_packed`]
+/// explains; a re-pass forwards only lanes that became binary after the
+/// class's earlier forwards.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_frame_packed(
     netlist: &Netlist,
@@ -278,21 +309,23 @@ pub(crate) fn eval_frame_packed(
     values: &mut [PackedWord],
     forced: &[u64],
     equiv: Option<&EquivClasses>,
+    forwarded: &mut [u64],
     active: u64,
     frame: usize,
     conflicts: &mut LaneConflicts,
     fanin_buf: &mut Vec<PackedWord>,
 ) {
     // A single topological pass suffices unless equivalence forwarding pushed
-    // a value backwards; iterate to fixpoint only in that (rare) case.
+    // a value backwards; iterate to fixpoint only in that case.
     let max_passes = if equiv.is_some() {
         levels.order().len().max(1)
     } else {
         1
     };
+    forwarded.fill(0);
     for _ in 0..max_passes {
         let needs_repass = eval_pass_packed(
-            netlist, levels, values, forced, equiv, active, frame, conflicts, fanin_buf,
+            netlist, levels, values, forced, equiv, forwarded, active, frame, conflicts, fanin_buf,
         );
         if !needs_repass {
             break;

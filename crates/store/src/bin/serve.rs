@@ -9,7 +9,8 @@
 //! `sla_store::proto`) until a shutdown frame arrives. All diagnostics go
 //! to stderr; stdout carries only the address line.
 //!
-//! Worker parallelism comes from the session layer (`SLA_THREADS`); the
+//! The worker-thread count is read once at start-up (`SLA_THREADS`, see
+//! `sla_par::thread_count`) and handed to every request's session; the
 //! accept loop itself is single-threaded by design.
 
 use sla_store::server::{serve, ServeOptions};
@@ -74,16 +75,17 @@ fn main() -> ExitCode {
     };
     println!("sla-serve listening on {addr}");
     let _ = std::io::stdout().flush();
+    let threads = sla_par::thread_count();
     eprintln!(
-        "sla-serve: store {} (capacity {capacity}), {} worker threads",
+        "sla-serve: store {} (capacity {capacity}), {threads} worker threads",
         store_dir.display(),
-        sla_par::thread_count()
     );
 
     let options = ServeOptions {
         store_dir,
         capacity,
         max_requests,
+        threads,
     };
     match serve(listener, &options) {
         Ok(()) => ExitCode::SUCCESS,

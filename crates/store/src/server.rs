@@ -38,6 +38,9 @@ pub struct ServeOptions {
     /// Stop after this many requests (used by tests); `None` = run until a
     /// [`Message::Shutdown`] arrives.
     pub max_requests: Option<usize>,
+    /// Worker threads of each request's session (see
+    /// [`Session::with_threads`]).
+    pub threads: usize,
 }
 
 /// What a connection asked the server to do next.
@@ -72,7 +75,7 @@ pub fn serve(listener: TcpListener, options: &ServeOptions) -> std::io::Result<(
         if let Err(e) = stream.set_nodelay(true) {
             eprintln!("sla-serve: set_nodelay failed: {e}");
         }
-        match handle_connection(&stream, &mut store, &mut served, options.max_requests) {
+        match handle_connection(&stream, &mut store, &mut served, options) {
             Ok(Flow::Continue) => {}
             Ok(Flow::Stop) => return Ok(()),
             Err(e) => eprintln!("sla-serve: connection dropped: {e}"),
@@ -91,7 +94,7 @@ fn handle_connection(
     stream: &TcpStream,
     store: &mut LearnedStore,
     served: &mut usize,
-    max_requests: Option<usize>,
+    options: &ServeOptions,
 ) -> std::io::Result<Flow> {
     let mut input = BufReader::new(stream);
     let mut output = BufWriter::new(stream);
@@ -114,9 +117,9 @@ fn handle_connection(
                 return Ok(Flow::Stop);
             }
             Message::Request(req) => {
-                handle_request(&req, store, &mut output)?;
+                handle_request(&req, store, options.threads, &mut output)?;
                 *served += 1;
-                if let Some(max) = max_requests {
+                if let Some(max) = options.max_requests {
                     if *served >= max {
                         output.flush()?;
                         return Ok(Flow::Stop);
@@ -137,6 +140,7 @@ fn handle_connection(
 fn handle_request(
     req: &Request,
     store: &mut LearnedStore,
+    threads: usize,
     output: &mut impl Write,
 ) -> std::io::Result<()> {
     let netlist = match parse_bench(&req.name, &req.bench) {
@@ -153,7 +157,7 @@ fn handle_request(
             return proto::write_message(output, &Message::Error(format!("bad fault list: {e}")));
         }
     };
-    let mut session = Session::open(&netlist);
+    let mut session = Session::open(&netlist).with_threads(threads);
     let (cache, learn_work_units) = match &req.learn {
         None => (CacheOutcome::Uncached, 0),
         Some(opts) => match session.learn_cached(opts, store) {

@@ -55,18 +55,22 @@ pub struct LearnReport {
 #[derive(Debug)]
 pub struct Session<'a> {
     netlist: &'a Netlist,
-    threads: usize,
+    /// The count [`Session::with_threads`] set; `None` takes the
+    /// environment's.
+    threads: Option<usize>,
     learned: LearnedData,
 }
 
 impl<'a> Session<'a> {
     /// Opens a session on `netlist` with the environment's thread count
     /// (`SLA_THREADS`; when it is unset, the machine's available
-    /// parallelism).
+    /// parallelism), unless [`Session::with_threads`] sets one. The
+    /// environment is read only when the count is needed, so a caller that
+    /// sets the count never reads it.
     pub fn open(netlist: &'a Netlist) -> Session<'a> {
         Session {
             netlist,
-            threads: sla_par::thread_count(),
+            threads: None,
             learned: LearnedData::new(),
         }
     }
@@ -74,7 +78,7 @@ impl<'a> Session<'a> {
     /// Overrides the worker thread count. Results are bit-identical for
     /// every value; this only changes wall-clock time.
     pub fn with_threads(mut self, threads: usize) -> Session<'a> {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -85,7 +89,7 @@ impl<'a> Session<'a> {
 
     /// The session's worker thread count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.threads.unwrap_or_else(sla_par::thread_count)
     }
 
     /// The learned database the next [`Session::atpg`] call will use.
@@ -198,7 +202,7 @@ impl<'a> Session<'a> {
             sink(first, &stride);
         };
         let mut emitted = 0;
-        engine.advance_observed(faults, self.threads, &mut progress, None, |progress| {
+        engine.advance_observed(faults, self.threads(), &mut progress, None, |progress| {
             if progress.next_fault() >= emitted + STREAM_STRIDE {
                 emit(progress, emitted, emitted + STREAM_STRIDE);
                 emitted += STREAM_STRIDE;

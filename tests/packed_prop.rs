@@ -8,12 +8,13 @@ use proptest::prelude::*;
 use seqlearn::circuits::{synthesize, SynthConfig};
 use seqlearn::learn::{multi_node, single_node};
 use seqlearn::netlist::stems::fanout_stems;
-use seqlearn::netlist::{Netlist, NodeId};
+use seqlearn::netlist::{GateType, Netlist, NetlistBuilder, NodeId};
 use seqlearn::sim::{
     collapsed_fault_list, eval_gate3, eval_gate3x64, find_equivalences, full_fault_list,
     EquivConfig, Fault, FaultSimulator, FaultSite, Injection, InjectionSim, Logic3, PackedWord,
     SimOptions, TestSequence,
 };
+use std::collections::BTreeMap;
 
 fn small_synth(seed: u64, flip_flops: usize, gates: usize) -> Netlist {
     synthesize(&SynthConfig {
@@ -38,6 +39,80 @@ impl Bits {
             .wrapping_add(1442695040888963407);
         self.0 >> 11
     }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[(self.next() % items.len() as u64) as usize]
+    }
+}
+
+/// A small sequential circuit with one large exact equivalence class. The
+/// class head `c0` is a two-input gate over two frame inputs, and each of
+/// the `members - 1` further members `c1, c2, …` is a buffer or inverter of
+/// an earlier member, or an AND/OR/NAND/NOR of two earlier members of one
+/// polarity, so the class spans many levels. Flip-flops capture class
+/// members and side gates that mix the class with frame inputs, so class
+/// values cross frames. Four inputs and four flip-flops keep
+/// `find_equivalences` exhaustive, so the class is exact.
+fn class_circuit(seed: u64, members: usize) -> Netlist {
+    const TWO_INPUT: [GateType; 6] = [
+        GateType::And,
+        GateType::Nand,
+        GateType::Or,
+        GateType::Nor,
+        GateType::Xor,
+        GateType::Xnor,
+    ];
+    let mut bits = Bits(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + 3);
+    let mut b = NetlistBuilder::new(format!("class{seed}"));
+    let frame_inputs: Vec<String> = (0..4)
+        .map(|i| format!("i{i}"))
+        .chain((0..4).map(|f| format!("q{f}")))
+        .collect();
+    for input in &frame_inputs[..4] {
+        b.input(input);
+    }
+    let x = (bits.next() % 8) as usize;
+    let y = (x + 1 + (bits.next() % 7) as usize) % 8;
+    let head = *bits.pick(&TWO_INPUT);
+    b.gate("c0", head, &[&frame_inputs[x], &frame_inputs[y]])
+        .unwrap();
+    // Each member with its polarity relative to `c0`.
+    let mut class: Vec<(String, bool)> = vec![("c0".to_string(), false)];
+    for m in 1..members {
+        let (p, p_inv) = bits.pick(&class).clone();
+        let (q, q_inv) = bits.pick(&class).clone();
+        let (gate, fanins, inv) = match bits.next() % 4 {
+            0 => (GateType::Buf, vec![p], p_inv),
+            2 | 3 if p != q && p_inv == q_inv => {
+                let gate = *bits.pick(&TWO_INPUT[..4]);
+                let inverting = matches!(gate, GateType::Nand | GateType::Nor);
+                (gate, vec![p, q], p_inv ^ inverting)
+            }
+            _ => (GateType::Not, vec![p], !p_inv),
+        };
+        let name = format!("c{m}");
+        let refs: Vec<&str> = fanins.iter().map(String::as_str).collect();
+        b.gate(&name, gate, &refs).unwrap();
+        class.push((name, inv));
+    }
+    let side: Vec<String> = (0..4).map(|s| format!("s{s}")).collect();
+    for name in &side {
+        let member = &bits.pick(&class).0;
+        let input = bits.pick(&frame_inputs);
+        b.gate(name, *bits.pick(&TWO_INPUT), &[member, input])
+            .unwrap();
+    }
+    for f in 0..4 {
+        let data = if f % 2 == 0 {
+            &bits.pick(&class).0
+        } else {
+            bits.pick(&side)
+        };
+        b.dff(&frame_inputs[4 + f], data).unwrap();
+    }
+    b.output(&side[0]).unwrap();
+    b.output(&class[members - 1].0).unwrap();
+    b.build().unwrap()
 }
 
 proptest! {
@@ -69,23 +144,29 @@ proptest! {
     /// `run_batch_packed` produces, lane for lane, exactly the trace the
     /// scalar `run` produces for the same injection job — frames, values,
     /// conflicts and state-repeat flags — on random netlists and random
-    /// multi-frame injection batches.
+    /// multi-frame injection batches, with and without equivalence classes,
+    /// and with up to three tied nodes forced in every frame.
     #[test]
     fn run_batch_matches_scalar_runs(
         seed in 0u64..400,
         flip_flops in 1usize..6,
         gates in 6usize..30,
         jobs in 1usize..20,
-        with_equiv in proptest::strategy::Just(true),
+        with_equiv in 0u8..2,
+        ties in 0usize..4,
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
         let mut sim = InjectionSim::new(&netlist).unwrap();
-        if with_equiv {
+        if with_equiv == 1 {
             let classes = find_equivalences(&netlist, &EquivConfig::default()).unwrap();
             sim.set_equivalences(classes);
         }
         let mut bits = Bits(seed + 7);
         let n = netlist.num_nodes() as u64;
+        let tied: Vec<(NodeId, bool)> = (0..ties)
+            .map(|_| (NodeId((bits.next() % n) as u32), bits.next().is_multiple_of(2)))
+            .collect();
+        sim.set_tied(tied);
         let injections: Vec<Vec<Injection>> = (0..jobs)
             .map(|_| {
                 (0..1 + bits.next() % 3)
@@ -152,6 +233,63 @@ proptest! {
         }
     }
 
+    /// One exact class of at least 16 members, injections on its members at
+    /// several frames, and per-lane frame limits: whichever member first
+    /// forwards a lane decides where that lane's conflict is recorded, and
+    /// a member forced in a lane forwards into members behind it, so the
+    /// frame takes re-passes. Lane for lane, the packed run must equal the
+    /// scalar run of the same job with the lane's limit as `max_frames`.
+    #[test]
+    fn large_class_forwarding_matches_scalar_runs(
+        seed in 0u64..400,
+        members in 16usize..40,
+        jobs in 1usize..65,
+    ) {
+        let netlist = class_circuit(seed, members);
+        let classes = find_equivalences(&netlist, &EquivConfig::default()).unwrap();
+        let c0 = netlist.require("c0").unwrap();
+        let (class, _) = classes.class_of(c0).expect("c0 heads a class");
+        let class_nodes: Vec<NodeId> =
+            classes.members(class).iter().map(|&(node, _)| node).collect();
+        prop_assert!(class_nodes.len() >= members, "class of {}", class_nodes.len());
+        let mut sim = InjectionSim::new(&netlist).unwrap();
+        sim.set_equivalences(classes);
+        let mut bits = Bits(seed + 29);
+        let n = netlist.num_nodes() as u64;
+        let injections: Vec<Vec<Injection>> = (0..jobs)
+            .map(|_| {
+                (0..1 + bits.next() % 4)
+                    .map(|_| {
+                        let node = if bits.next().is_multiple_of(4) {
+                            NodeId((bits.next() % n) as u32)
+                        } else {
+                            *bits.pick(&class_nodes)
+                        };
+                        Injection::new(node, bits.next().is_multiple_of(2), (bits.next() % 4) as usize)
+                    })
+                    .collect()
+            })
+            .collect();
+        let job_slices: Vec<&[Injection]> = injections.iter().map(|j| j.as_slice()).collect();
+        let limits: Vec<usize> = (0..jobs).map(|_| (bits.next() % 9) as usize).collect();
+        let options = SimOptions {
+            max_frames: 8,
+            stop_on_repeat: true,
+        };
+        let batch = sim.run_batch_with_limits_packed(&job_slices, &options, &limits);
+        prop_assert_eq!(batch.lanes(), jobs);
+        for (lane, (job, &limit)) in job_slices.iter().zip(&limits).enumerate() {
+            let scalar = sim.run(
+                job,
+                &SimOptions {
+                    max_frames: limit.min(options.max_frames),
+                    ..options
+                },
+            );
+            prop_assert_eq!(batch.to_trace(lane), scalar, "lane trace differs for {:?}", job);
+        }
+    }
+
     /// Batched single-node learning produces exactly the scalar outcome —
     /// relations (with flags and order), ties, cross-frame relations, the
     /// support map — on random netlists, with and without a class mask.
@@ -189,7 +327,8 @@ proptest! {
 
     /// Batched multiple-node learning — including its tie-restart protocol —
     /// produces exactly the scalar outcome and leaves the simulator with the
-    /// same tied set.
+    /// same tied set. Both simulators start as the engine's multiple-node
+    /// phase does: with the equivalence classes and the single-node ties.
     #[test]
     fn batched_multi_node_learning_matches_scalar(
         seed in 0u64..300,
@@ -197,13 +336,26 @@ proptest! {
         gates in 8usize..40,
     ) {
         let netlist = small_synth(seed, flip_flops, gates);
-        let base = InjectionSim::new(&netlist).unwrap();
+        let classes = find_equivalences(&netlist, &EquivConfig::default()).unwrap();
+        let mut base = InjectionSim::new(&netlist).unwrap();
+        base.set_equivalences(classes.clone());
         let stems = fanout_stems(&netlist);
         let options = SimOptions::default();
         let single = single_node::run(&base, &stems, &options, None, false);
-        let mut scalar_sim = InjectionSim::new(&netlist).unwrap();
+        // The first tie of a node wins, as in the engine.
+        let mut tied: BTreeMap<NodeId, bool> = BTreeMap::new();
+        for tie in &single.ties {
+            tied.entry(tie.node).or_insert(tie.value);
+        }
+        let phase_sim = || {
+            let mut sim = InjectionSim::new(&netlist).unwrap();
+            sim.set_equivalences(classes.clone());
+            sim.set_tied(tied.iter().map(|(&node, &value)| (node, value)).collect());
+            sim
+        };
+        let mut scalar_sim = phase_sim();
         let scalar = multi_node::run(&mut scalar_sim, &single.support, None, 0, true);
-        let mut batched_sim = InjectionSim::new(&netlist).unwrap();
+        let mut batched_sim = phase_sim();
         let batched =
             multi_node::run_batched(&mut batched_sim, &single.support, None, 0, true);
         prop_assert_eq!(scalar.implications, batched.implications);
